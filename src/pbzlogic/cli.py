@@ -27,11 +27,11 @@ from .logics import (
     LogicSpec,
     builtin_logic,
     builtin_logics,
-    evaluate_logic,
+    single_label,
     validate_logic,
 )
 from .orthopair import Orthopair
-from .sevenvalued import TruthValue, classify, seven_partition
+from .sevenvalued import TruthValue, block_values
 from .sweep import all_knowledge_bases, default_universe
 from .universe import KnowledgeBase, Universe
 
@@ -69,15 +69,21 @@ class TableConfig:
 
 
 def load_table(
-    path: str | Path, config: TableConfig | None = None
+    path: str | Path, config: TableConfig | None = None, data: bytes | None = None
 ) -> tuple[Universe, KnowledgeBase, Orthopair]:
     """Read a CSV decision table into a universe, partition and concept.
 
     First column holds object ids; the decision column (default: last)
     maps to positive/negative/unknown through the configured token sets.
+    `data` is the file's content when the caller has read it already (to
+    hash exactly the bytes parsed); otherwise the file at `path` is read.
     """
     config = config or TableConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    if data is None:
+        data = Path(path).read_bytes()
+    # splitlines() treats \r\n and a lone \r as line ends, as reading in
+    # text mode would; a UTF-8 BOM stays in the (unused) id column name.
+    text = data.decode("utf-8")
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header row and at least one data row")
@@ -162,31 +168,37 @@ def build_classification_report(
     input_sha256: str,
     config_echo: dict,
 ) -> dict:
-    universe = kb.universe
-    partition = seven_partition(kb, pair)
-    assignment = evaluate_logic(kb, pair, spec) if spec is not None else None
+    """Classify every object in one pass over the blocks.
+
+    Each block's value comes from its signature (`block_values`), each
+    object takes its block's value, and a logic is its seven-entry
+    `value_table`; the bare seven values are the identity table.
+    """
+    if spec is None:
+        table = {v: (v.symbol,) for v in TruthValue}
+        derived_order = [v.symbol for v in TruthValue]
+    else:
+        table = spec.value_table()
+        derived_order = list(spec.labels())
+    values = block_values(kb, pair)
 
     objects = []
-    derived_counts: dict[str, int] = {}
-    for name in universe:
-        seven = classify(kb, pair, name).symbol
-        assert seven == partition.value_of(name).symbol
-        derived = seven if assignment is None else assignment.value_of(name)
-        derived_counts[derived] = derived_counts.get(derived, 0) + 1
+    seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
+    derived_counts = dict.fromkeys(derived_order, 0)
+    for name, block in zip(kb.universe, kb.block_index):
+        value = values[block]
+        seven = value.symbol
+        derived = single_label(name, table[value])
+        seven_counts[seven] += 1
+        derived_counts[derived] += 1
         objects.append({"id": name, "seven": seven, "derived": derived})
 
-    derived_order = (
-        [v.symbol for v in TruthValue] if spec is None else list(spec.labels())
-    )
     return {
         "schema_version": SCHEMA_VERSION,
         "logic": spec.name if spec is not None else "seven",
         "provenance": {"input_sha256": input_sha256, "config": config_echo},
         "objects": objects,
-        "summary": {
-            "seven": partition.counts(),
-            "derived": {label: derived_counts.get(label, 0) for label in derived_order},
-        },
+        "summary": {"seven": seven_counts, "derived": derived_counts},
     }
 
 
@@ -206,10 +218,6 @@ def render_classification_text(report: dict) -> str:
             f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in counts.items())
         )
     return "\n".join(lines) + "\n"
-
-
-def _sha256_of(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _table_config(args: argparse.Namespace) -> TableConfig:
@@ -240,10 +248,11 @@ def _add_table_options(sub: argparse.ArgumentParser, required: bool) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     config = _table_config(args)
-    _, kb, pair = load_table(args.input, config)
+    data = Path(args.input).read_bytes()
+    _, kb, pair = load_table(args.input, config, data)
     spec = _resolve_logic(args.logic)
     report = build_classification_report(
-        kb, pair, spec, _sha256_of(args.input), config.echo()
+        kb, pair, spec, hashlib.sha256(data).hexdigest(), config.echo()
     )
     if args.format == "json":
         sys.stdout.write(render_json(report))
@@ -383,10 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_ERROR
 

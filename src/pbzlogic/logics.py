@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .orthopair import Orthopair
-from .sevenvalued import TruthValue, downward_part, upward_part
+from .sevenvalued import (
+    DOWNWARD_MEMBERS,
+    UPWARD_MEMBERS,
+    TruthValue,
+    downward_part,
+    upward_part,
+)
 from .sweep import all_orthopairs
 from .universe import KnowledgeBase, ObjectSet
 
@@ -64,6 +70,19 @@ class ValueDef:
             result = acc if result is None else result & acc
         return result
 
+    def members(self) -> frozenset[TruthValue]:
+        """The base values whose objects this derived value holds.
+
+        An object lies in the upward (downward) part of u exactly when its
+        base value is in UPWARD_MEMBERS[u] (DOWNWARD_MEMBERS[u]).
+        """
+        held = [
+            {m for symbol in symbols for m in table[TruthValue(symbol)]}
+            for symbols, table in ((self.up, UPWARD_MEMBERS), (self.down, DOWNWARD_MEMBERS))
+            if symbols
+        ]
+        return frozenset(set.intersection(*held))
+
 
 @dataclass(frozen=True)
 class LogicSpec:
@@ -81,6 +100,16 @@ class LogicSpec:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label for v in self.values)
+
+    def value_table(self) -> dict[TruthValue, tuple[str, ...]]:
+        """Labels of the derived values holding each base value, in label order.
+
+        An object's derived values depend only on its base value, so these
+        seven entries are the whole logic; `evaluate_logic` computes the
+        same sets from rough approximations.
+        """
+        held = [(v.label, v.members()) for v in self.values]
+        return {t: tuple(label for label, m in held if t in m) for t in TruthValue}
 
     def to_dict(self) -> dict:
         return {
@@ -125,16 +154,20 @@ class LogicAssignment:
         return tuple(label for label in self.logic.labels() if name in self.parts[label])
 
     def value_of(self, name: str) -> str:
-        labels = self.labels_of(name)
-        if len(labels) != 1:
-            raise ValueError(
-                f"object {name!r} falls in {len(labels)} derived values; "
-                "the logic is not a partition on this concept"
-            )
-        return labels[0]
+        return single_label(name, self.labels_of(name))
 
     def counts(self) -> dict[str, int]:
         return {label: len(self.parts[label]) for label in self.logic.labels()}
+
+
+def single_label(name: str, labels: tuple[str, ...]) -> str:
+    """The one derived value of the named object; ValueError for none or several."""
+    if len(labels) != 1:
+        raise ValueError(
+            f"object {name!r} falls in {len(labels)} derived values; "
+            "the logic is not a partition on this concept"
+        )
+    return labels[0]
 
 
 def evaluate_logic(kb: KnowledgeBase, p: Orthopair, spec: LogicSpec) -> LogicAssignment:

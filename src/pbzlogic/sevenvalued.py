@@ -204,22 +204,32 @@ _TRIPLE_TO_VALUE = {
 }
 
 
-def classify(kb: KnowledgeBase, p: Orthopair, name: str) -> TruthValue:
-    """Truth value of one object, from how its class meets the three regions."""
+def _signature_value(block: int, a: int, b: int, bd: int) -> TruthValue:
+    return _TRIPLE_TO_VALUE[(block & a != 0, block & b != 0, block & bd != 0)]
+
+
+def block_values(kb: KnowledgeBase, p: Orthopair) -> list[TruthValue]:
+    """Truth value of every block of kb, in block order.
+
+    A block's value depends only on its signature: whether it meets the
+    positive region, the negative region and the boundary.  Every object
+    of a block shares it, so `kb.block_index` gives each object's value.
+    Blocks are never empty, so every signature has a value.
+    """
     _check(kb, p)
-    i = kb.universe.index(name)
     a = p.positive.bits
     b = p.negative.bits
     bd = kb.universe.full_mask & ~a & ~b
-    key = (
-        bool(kb.upper_mask(a) >> i & 1),
-        bool(kb.upper_mask(b) >> i & 1),
-        bool(kb.upper_mask(bd) >> i & 1),
-    )
-    if key == (False, False, False):
-        # An equivalence class always meets at least one of the three regions.
-        raise RuntimeError(f"object {name!r} meets no region; internal invariant violated")
-    return _TRIPLE_TO_VALUE[key]
+    return [_signature_value(block.bits, a, b, bd) for block in kb.blocks]
+
+
+def classify(kb: KnowledgeBase, p: Orthopair, name: str) -> TruthValue:
+    """Truth value of one object, from how its class meets the three regions."""
+    _check(kb, p)
+    a = p.positive.bits
+    b = p.negative.bits
+    bd = kb.universe.full_mask & ~a & ~b
+    return _signature_value(kb.block_of(name).bits, a, b, bd)
 
 
 @dataclass(frozen=True)

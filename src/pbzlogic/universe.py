@@ -183,17 +183,24 @@ class KnowledgeBase:
         return cls(universe, tuple(ObjectSet(universe, m) for m in masks))
 
     @cached_property
-    def _block_of(self) -> tuple[int, ...]:
+    def block_index(self) -> tuple[int, ...]:
+        """Position in `blocks` of each object's class, by object index.
+
+        Built on first use with one Python step per object: each block's
+        set bits are found with `str.find` on its binary digits.
+        """
         out = [0] * self.universe.size
         for bi, block in enumerate(self.blocks):
-            for i in range(self.universe.size):
-                if block.bits >> i & 1:
-                    out[i] = bi
+            digits = bin(block.bits)[:1:-1]  # digit i is object i
+            i = digits.find("1")
+            while i >= 0:
+                out[i] = bi
+                i = digits.find("1", i + 1)
         return tuple(out)
 
     def block_of(self, name: str) -> ObjectSet:
         """The equivalence class of the named object."""
-        return self.blocks[self._block_of[self.universe.index(name)]]
+        return self.blocks[self.block_index[self.universe.index(name)]]
 
     def _check(self, x: ObjectSet) -> None:
         if x.universe != self.universe:

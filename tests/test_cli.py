@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,80 @@ def test_classify_data_errors(capsys, tmp_path, content):
     code, _, err = run(capsys, "classify", "--input", str(path))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("logic", ["seven", "treatment", "triage", "diagnosis", "belnap"])
+def test_classify_matches_golden_bytes(capsys, demo_csv, logic, fmt):
+    golden = demo_csv.parent / "golden" / f"classify_{logic}.{'txt' if fmt == 'text' else fmt}"
+    code, out, _ = run(
+        capsys, "classify", "--input", str(demo_csv), "--logic", logic, "--format", fmt
+    )
+    assert code == 0
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # o1 is T, inside both upward aggregations
+        ([{"label": "act", "up": ["sT"]}, {"label": "alert", "up": ["K"]}],
+         "object 'o1' falls in 2 derived values"),
+        # o1 and o2 are T; o3 is K, outside the only derived value
+        ([{"label": "treat", "up": ["sT"]}], "object 'o3' falls in 0 derived values"),
+    ],
+)
+def test_classify_logic_not_a_partition(capsys, demo_csv, tmp_path, values, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"name": "custom", "values": values}))
+    code, out, err = run(
+        capsys, "classify", "--input", str(demo_csv), "--logic", str(spec_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}; the logic is not a partition on this concept\n"
+
+
+TABLE_LF = 'id,a,d\nx,"p\nq",yes\ny,"p\nq",no\nz,p,?\n'
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        TABLE_LF.replace("\n", "\r\n"),
+        TABLE_LF.replace("\n", "\r"),
+        "\ufeff" + TABLE_LF,
+        "\ufeff" + TABLE_LF.replace("\n", "\r\n"),
+    ],
+    ids=["crlf", "lone-cr", "bom", "bom-crlf"],
+)
+def test_classify_line_endings_and_bom(capsys, tmp_path, content):
+    base = tmp_path / "lf.csv"
+    base.write_bytes(TABLE_LF.encode("utf-8"))
+    variant = tmp_path / "variant.csv"
+    variant.write_bytes(content.encode("utf-8"))
+    reports = []
+    for path in (base, variant):
+        code, out, _ = run(capsys, "classify", "--input", str(path), "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    expected, got = reports
+    # the quoted field spans two lines but stays one cell: x and y share a block
+    assert [(e["id"], e["seven"]) for e in got["objects"]] == [
+        ("x", "K"), ("y", "K"), ("z", "U")
+    ]
+    assert got["objects"] == expected["objects"]
+    assert got["summary"] == expected["summary"]
+    assert got["provenance"]["input_sha256"] == hashlib.sha256(variant.read_bytes()).hexdigest()
+
+
+def test_classify_invalid_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,a,d\nx,caf\u00e9,yes\n".encode("latin-1"))
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_classify_missing_file_and_unknown_logic(capsys, demo_csv):

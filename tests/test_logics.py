@@ -8,6 +8,7 @@ from pbzlogic import (
     all_knowledge_bases,
     all_orthopairs,
     belnap_from_arguments,
+    block_values,
     builtin_logic,
     builtin_logics,
     classify,
@@ -166,6 +167,40 @@ def test_validation_detects_corrupted_builtin(six_kb):
     result = validate_logic(six_kb, corrupted)
     assert result.status == "invalid"
     assert result.witness is not None
+
+
+def test_triage_value_table():
+    assert builtin_logic("triage").value_table() == {
+        V.TRUE: ("hospitalize",),
+        V.SOMETIMES_TRUE: ("hospitalize",),
+        V.UNKNOWN: ("expert",),
+        V.CONTRADICTORY: ("expert",),
+        V.FULLY_CONTRADICTORY: ("expert",),
+        V.SOMETIMES_FALSE: ("discharge",),
+        V.FALSE: ("discharge",),
+    }
+
+
+OVERLAPPING = LogicSpec(
+    "overlapping",
+    (ValueDef("act", up=("sT",)), ValueDef("alert", up=("K",)),
+     ValueDef("rest", up=("U",), down=("sF",))),
+)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_value_table_matches_evaluate_logic(size):
+    tables = [(spec, spec.value_table()) for spec in (*builtin_logics(), OVERLAPPING)]
+    u = default_universe(size)
+    for kb in all_knowledge_bases(u):
+        for p in all_orthopairs(u):
+            by_block = block_values(kb, p)
+            values = [by_block[block] for block in kb.block_index]
+            for spec, table in tables:
+                assignment = evaluate_logic(kb, p, spec)
+                for label in spec.labels():
+                    held = sum(1 << i for i, v in enumerate(values) if label in table[v])
+                    assert assignment[label].bits == held
 
 
 def test_spec_serialization_round_trip():

@@ -3,11 +3,13 @@ import pytest
 from pbzlogic import (
     FORMULATIONS,
     KnowledgeBase,
+    ObjectSet,
     Orthopair,
     TruthValue,
     Universe,
     all_knowledge_bases,
     all_orthopairs,
+    block_values,
     classify,
     default_universe,
     downward_part,
@@ -105,6 +107,27 @@ def test_sweep_partition_and_agreement(size):
             assert covered == u.full_mask
             for name in u:
                 assert name in sp[classify(kb, p, name)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_block_values_agree_with_every_formulation(size):
+    u = default_universe(size)
+    for kb in all_knowledge_bases(u):
+        blocks = [frozenset(block) for block in kb.blocks]
+        for p in all_orthopairs(u):
+            values = block_values(kb, p)
+            single_pass = {v: 0 for v in V}
+            for i, name in enumerate(u):
+                value = values[kb.block_index[i]]
+                assert classify(kb, p, name) is value
+                single_pass[value] |= 1 << i
+            for formulation in FORMULATIONS:
+                sp = seven_partition(kb, p, formulation)
+                assert {v: sp[v].bits for v in V} == single_pass
+            expected = oracle_parts(blocks, frozenset(p.positive), frozenset(p.negative))
+            assert {
+                v.symbol: frozenset(ObjectSet(u, bits)) for v, bits in single_pass.items()
+            } == expected
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

@@ -163,6 +163,15 @@ def test_duality_exhaustive(size):
             assert kb.lower(x) == ~kb.upper(~x)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+def test_block_index_names_each_objects_block(size):
+    u = default_universe(size)
+    for kb in all_knowledge_bases(u):
+        assert len(kb.block_index) == size
+        for i, block in enumerate(kb.block_index):
+            assert kb.blocks[block].bits >> i & 1
+
+
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_approximations_match_set_oracle(size):
     u = default_universe(size)
