@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -44,6 +45,12 @@ EXIT_CHECK_FAILED = 2
 DEFAULT_POSITIVE = ("1", "yes", "true", "positive")
 DEFAULT_NEGATIVE = ("0", "no", "false", "negative")
 DEFAULT_UNKNOWN = ("?", "unknown", "")
+
+
+# Synthetic sweeps enumerate every set partition (Bell(8) = 4,140 knowledge
+# bases) and, for validate-logic, 3^size concepts on each.
+MAX_VERIFY_SIZE = 8
+MAX_VALIDATE_SIZE = 6
 
 
 class DataError(ValueError):
@@ -81,10 +88,11 @@ def load_table(
     config = config or TableConfig()
     if data is None:
         data = Path(path).read_bytes()
-    # splitlines() treats \r\n and a lone \r as line ends, as reading in
-    # text mode would; a UTF-8 BOM stays in the (unused) id column name.
+    # csv.reader takes \r\n and a lone \r as line ends, as reading in text
+    # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
+    # stays in the (unused) id column name.
     text = data.decode("utf-8")
-    rows = [row for row in csv.reader(text.splitlines()) if row]
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header row and at least one data row")
     header = [cell.strip() for cell in rows[0]]
@@ -140,6 +148,17 @@ def load_table(
         (oid for oid in ids if labels[oid] == "negative"),
     )
     return universe, kb, pair
+
+
+def _parse_size(text: str, option: str, limit: int) -> int:
+    """A synthetic universe size from 1 to `limit`, else a DataError."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if not 1 <= size <= limit:
+        raise DataError(f"{option} takes sizes from 1 to {limit}, got {text!r}")
+    return size
 
 
 def _resolve_logic(name_or_path: str) -> LogicSpec | None:
@@ -261,13 +280,28 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _render_exact_counts(report: dict) -> str:
+    """render_json for reports whose counts may exceed Python's default
+    4,300-digit limit on int-to-str conversion: an exact verdict covers
+    |elements|^arity = 3^(|U| * arity) tuples."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render_json(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     runs: list[tuple[str, KnowledgeBase]] = []
     if args.input:
         _, kb, _ = load_table(args.input, _table_config(args))
         runs.append((f"table {args.input}", kb))
     else:
-        sizes = [int(s) for s in (args.sizes or "1,2,3,4").split(",")]
+        sizes = [
+            _parse_size(s, "--sizes", MAX_VERIFY_SIZE)
+            for s in (args.sizes or "1,2,3,4").split(",")
+        ]
         for size in sizes:
             for i, kb in enumerate(all_knowledge_bases(default_universe(size))):
                 runs.append((f"size {size} partition {i}", kb))
@@ -285,7 +319,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "axioms": [r.to_dict() for r in reports]})
 
     if args.format == "json":
-        sys.stdout.write(render_json({"schema_version": SCHEMA_VERSION, "runs": results}))
+        sys.stdout.write(_render_exact_counts(
+            {"schema_version": SCHEMA_VERSION, "runs": results}))
     else:
         for run in results:
             verdict = "PBZ-certified" if run["certified"] else "FAILED"
@@ -311,7 +346,8 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
         _, kb, _ = load_table(args.input, _table_config(args))
         kbs = [kb]
     else:
-        kbs = list(all_knowledge_bases(default_universe(args.size)))
+        size = _parse_size(str(args.size), "--size", MAX_VALIDATE_SIZE)
+        kbs = list(all_knowledge_bases(default_universe(size)))
     failed = False
     reports = []
     for kb in kbs:
@@ -365,9 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the lattice axiom suite")
     _add_table_options(p, required=False)
-    p.add_argument("--sizes", help="synthetic universe sizes, e.g. 3,4 (default 1,2,3,4)")
+    p.add_argument("--sizes",
+                   help=f"synthetic universe sizes from 1 to {MAX_VERIFY_SIZE},"
+                   " e.g. 3,4 (default 1,2,3,4)")
     p.add_argument("--budget", type=int, default=axioms.DEFAULT_BUDGET,
-                   help="maximum evaluated tuples per axiom")
+                   help="maximum evaluated cases per axiom (reduced cases on"
+                   " the exact path)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--mutate", help=argparse.SUPPRESS)  # test harness only
     p.set_defaults(func=cmd_verify)
@@ -376,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_options(p, required=False)
     p.add_argument("--logic", required=True, help="built-in logic name or spec file path")
     p.add_argument("--size", type=int, default=4,
-                   help="synthetic universe size when no input table is given")
+                   help=f"synthetic universe size from 1 to {MAX_VALIDATE_SIZE}"
+                   " when no input table is given")
     p.add_argument("--budget", type=int, default=None,
                    help="maximum concepts to check per knowledge base")
     p.add_argument("--format", choices=("text", "json"), default="text")

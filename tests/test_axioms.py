@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from pbzlogic import (
@@ -12,7 +15,13 @@ from pbzlogic import (
     default_universe,
     run_mutation,
 )
-from pbzlogic.axioms import mutated_ops, standard_ops
+from pbzlogic import axioms
+from pbzlogic.axioms import (
+    _all_pairs_including_overlapping,
+    mutated_ops,
+    standard_ops,
+)
+from pbzlogic.sweep import all_orthopair_masks
 
 
 @pytest.fixture
@@ -90,10 +99,11 @@ def test_six_object_kb_certifies(six_kb):
 
 
 def test_budget_forces_undecided(kb3):
-    report = check_axiom(kb3, "K3", budget=50)
+    # K3 is pointwise: the reduced engine needs 9 cases, so 5 falls back to sampling
+    report = check_axiom(kb3, "K3", budget=5)
     assert report.status == "undecided"
     assert not report.exhaustive
-    assert report.cases_checked == 50
+    assert report.cases_checked == 5
 
 
 def test_vectorized_distributivity_matches_scalar(kb3):
@@ -134,3 +144,118 @@ def test_witness_names_render(kb3):
 def test_unknown_mutation_rejected(kb3):
     with pytest.raises(ValueError):
         run_mutation(kb3, "nope")
+
+
+# --- reduced engine against the brute engine ---------------------------------
+
+CONFIGS = (None, *MUTATIONS)
+
+
+def _brute_reports(kb, mutation, idents):
+    if mutation is None:
+        ops, elements = standard_ops(kb), None
+    else:
+        ops = mutated_ops(kb, mutation)
+        elements = (
+            list(_all_pairs_including_overlapping(kb.universe.size))
+            if mutation == "drop-disjointness"
+            else None
+        )
+    return [check_axiom(kb, ident, ops=ops, elements=elements) for ident in idents], ops
+
+
+@pytest.mark.parametrize("mutation", CONFIGS, ids=lambda m: m or "standard")
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_reduced_engine_matches_brute_engine(size, mutation):
+    # At size 4 the brute distributivity check costs 81^3 (or a 256^3
+    # sample) per knowledge base; the allowed difference is pinned below.
+    idents = [i for i in AXIOMS if size < 4 or i != "distributivity"]
+    for kb in all_knowledge_bases(default_universe(size)):
+        reduced = check_all(kb) if mutation is None else run_mutation(kb, mutation)
+        reduced = [r for r in reduced if r.axiom in idents]
+        brute, ops = _brute_reports(kb, mutation, idents)
+        for fast, slow in zip(reduced, brute):
+            assert fast.axiom == slow.axiom
+            assert (fast.status, fast.exhaustive) == (slow.status, slow.exhaustive), (
+                kb.blocks, mutation, fast.axiom
+            )
+            if fast.status == "holds":
+                assert fast.cases_checked == slow.cases_checked
+            elif fast.status == "counterexample":
+                assert not AXIOMS[fast.axiom].predicate(ops, *fast.witness)
+
+
+def test_reduced_engine_decides_overlapping_distributivity():
+    # The one allowed difference: over 4^4 overlapping pairs the brute engine
+    # can only sample distributivity, which the reduced engine decides.
+    kb = next(all_knowledge_bases(default_universe(4)))
+    reduced = next(r for r in run_mutation(kb, "drop-disjointness")
+                   if r.axiom == "distributivity")
+    assert (reduced.status, reduced.exhaustive) == ("holds", True)
+    assert reduced.cases_checked == (4**4) ** 3
+    elements = list(_all_pairs_including_overlapping(4))
+    brute = check_axiom(kb, "distributivity", budget=10_000,
+                        ops=mutated_ops(kb, "drop-disjointness"), elements=elements)
+    assert brute.status == "undecided"
+
+
+def test_pointwise_axioms_never_apply_the_approximation():
+    u = default_universe(2)
+    kb = KnowledgeBase.from_partition(u, [u.full()])
+
+    def refuse(p):
+        raise AssertionError("approximation applied")
+
+    ops = replace(standard_ops(kb), pawlak=refuse)
+    pairs = list(all_orthopair_masks(2))
+    for axiom in AXIOMS.values():
+        if axiom.pointwise:
+            for tup in itertools.product(pairs, repeat=axiom.arity):
+                axiom.predicate(ops, *tup)
+        else:
+            with pytest.raises(AssertionError, match="approximation"):
+                for tup in itertools.product(pairs, repeat=axiom.arity):
+                    axiom.predicate(ops, *tup)
+
+
+def _skewed_kb(size, blocks):
+    """One large block and blocks - 1 singletons."""
+    u = default_universe(size)
+    names = list(u)
+    cut = size - blocks + 1
+    return KnowledgeBase.from_partition(
+        u, [u.subset(names[:cut])] + [u.subset([n]) for n in names[cut:]]
+    )
+
+
+@pytest.mark.parametrize(
+    "axiom_id, reduced_cases",
+    [("K3", 3**2), ("distributivity", 3**3), ("A1", 3 + 3 + 1), ("A2", 2**9 - 1)],
+)
+def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
+    kb = _skewed_kb(10, blocks=2)  # largest block: 9 objects
+    arity = AXIOMS[axiom_id].arity
+    exact = check_axiom(kb, axiom_id, budget=reduced_cases)
+    assert (exact.status, exact.exhaustive) == ("holds", True)
+    assert exact.cases_checked == (3**10) ** arity
+    sampled = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
+    assert sampled.status == "undecided"
+    assert sampled.cases_checked == reduced_cases - 1
+
+
+def test_sixteen_objects_certify_without_enumeration(monkeypatch):
+    def refuse_orthopairs(size):
+        raise AssertionError("orthopairs enumerated")
+
+    def small_ops_only(kb):
+        assert kb.universe.size <= 9, "operators built on the whole knowledge base"
+        return standard_ops(kb)
+
+    monkeypatch.setattr(axioms, "all_orthopair_masks", refuse_orthopairs)
+    monkeypatch.setattr(axioms, "standard_ops", small_ops_only)
+    kb = _skewed_kb(16, blocks=7)
+    reports = check_all(kb)
+    assert certified(reports)
+    assert next(r for r in reports if r.axiom == "A2").cases_checked == 3**32
+    with pytest.raises(ValueError, match="too many to enumerate"):
+        check_all(kb, budget=10)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -213,6 +214,17 @@ def test_classify_line_endings_and_bom(capsys, tmp_path, content):
     assert got["provenance"]["input_sha256"] == hashlib.sha256(variant.read_bytes()).hexdigest()
 
 
+def test_classify_keeps_line_breaks_in_quoted_fields(capsys, tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'id,a,d\nx,"p\nq",yes\ny,pq,no\n')
+    code, out, _ = run(capsys, "classify", "--input", str(path), "--format", "json")
+    assert code == 0
+    # "p<LF>q" and "pq" are distinct values, so x and y fall in distinct blocks
+    assert [(e["id"], e["seven"]) for e in json.loads(out)["objects"]] == [
+        ("x", "T"), ("y", "F")
+    ]
+
+
 def test_classify_invalid_utf8(capsys, tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("id,a,d\nx,caf\u00e9,yes\n".encode("latin-1"))
@@ -242,6 +254,65 @@ def test_verify_table_input(capsys, small_csv):
     code, out, _ = run(capsys, "verify", "--input", str(small_csv))
     assert code == 0
     assert f"table {small_csv}: PBZ-certified" in out
+
+
+def _table(tmp_path, rows, groups):
+    path = tmp_path / "table.csv"
+    path.write_text("id,attr,flag\n" + "".join(
+        f"r{i},v{i % groups},{'yes' if i % 3 else 'no'}\n" for i in range(rows)
+    ))
+    return path
+
+
+def test_verify_sixteen_row_table_is_certified(capsys, tmp_path):
+    path = _table(tmp_path, 16, 5)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"table {path}: PBZ-certified\n"
+
+
+def test_verify_table_too_large_for_the_budget(capsys, tmp_path):
+    path = _table(tmp_path, 16, 5)
+    code, out, err = run(capsys, "verify", "--input", str(path), "--budget", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: axiom distributivity: 27 reduced cases exceed")
+    assert "too many to enumerate" in err
+
+
+def test_verify_json_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
+    # distributivity covers 3^(3 * 3,100) tuples: 4,438 digits, past the
+    # 4,300 that str() and json accept by default
+    path = _table(tmp_path, 3100, 3100)
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert '"certified": true' in out
+    count = max(re.findall(r'"cases_checked": (\d+)', out), key=len)
+    assert len(count) == 4438
+    assert int(count[-12:]) == pow(3, 3 * 3100, 10**12)
+
+
+def test_verify_size_seven_certifies(capsys):
+    code, out, _ = run(capsys, "verify", "--sizes", "7")
+    assert code == 0
+    assert out.count(": PBZ-certified\n") == len(out.splitlines()) == 877
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["verify", "--sizes", "9"], "--sizes takes sizes from 1 to 8, got '9'"),
+        (["verify", "--sizes", "0"], "--sizes takes sizes from 1 to 8, got '0'"),
+        (["verify", "--sizes", "1,,2"], "--sizes takes sizes from 1 to 8, got ''"),
+        (["verify", "--sizes", "two"], "--sizes takes sizes from 1 to 8, got 'two'"),
+        (["validate-logic", "--logic", "belnap", "--size", "7"],
+         "--size takes sizes from 1 to 6, got '7'"),
+        (["validate-logic", "--logic", "belnap", "--size", "0"],
+         "--size takes sizes from 1 to 6, got '0'"),
+    ],
+)
+def test_synthetic_sizes_are_bounded(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {limit}\n")
 
 
 def test_verify_mutation_fails(capsys):
