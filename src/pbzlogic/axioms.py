@@ -7,12 +7,14 @@ engines reach a verdict:
 * the reduced engine decides an axiom exactly from a few cases on
   single-block knowledge bases, by the argument below.  It runs whenever
   pbzlogic builds the operators itself: the standard operators, or one of
-  the documented mutations;
+  the documented mutations.  The budget cuts it short: it evaluates its
+  cases in a fixed order, and when there are more cases than the budget
+  and none of the first `budget` fails, the verdict is undecided;
 * the brute engine enumerates every tuple of orthopairs while the tuple
   count fits in the budget and samples otherwise; a sampled run that finds
   no violation is reported as undecided, never as a pass.  It runs for
-  caller-supplied operators or elements, when the reduced case count
-  exceeds the budget, and in the tests as the oracle of the reduced engine.
+  caller-supplied operators or elements, and in the tests as the oracle of
+  the reduced engine.
 
 Why the reduction is exact
 --------------------------
@@ -87,11 +89,6 @@ Pair = tuple[int, int]
 
 DEFAULT_BUDGET = 2_000_000
 
-# The ternary distributive law is the one axiom whose tuple count explodes
-# (27^|U|).  For the standard operators it has an exhaustive bit-parallel
-# evaluator that stays viable up to this many tuples.
-VECTOR_LIMIT = 2_000_000_000
-
 
 @dataclass(frozen=True)
 class LatticeOps:
@@ -105,9 +102,6 @@ class LatticeOps:
     kleene: Callable[[Pair], Pair]
     brouwer: Callable[[Pair], Pair]
     pawlak: Callable[[Pair], Pair]
-    # True only while meet/join are the standard componentwise operations,
-    # which the bit-parallel distributivity evaluator hard-codes.
-    standard_lattice: bool = False
 
     @property
     def bottom(self) -> Pair:
@@ -146,8 +140,7 @@ def standard_ops(kb: KnowledgeBase) -> LatticeOps:
     def pawlak(p: Pair) -> Pair:
         return (table[p[0]], table[p[1]])
 
-    return LatticeOps(full, table, meet, join, kleene, brouwer, pawlak,
-                      standard_lattice=True)
+    return LatticeOps(full, table, meet, join, kleene, brouwer, pawlak)
 
 
 @dataclass(frozen=True)
@@ -272,37 +265,9 @@ class AxiomReport:
         return out
 
 
-def _check_distributivity_bitparallel(
-    kb: KnowledgeBase, elems: list[Pair], total: int
-) -> AxiomReport:
-    """Exhaustive distributivity check with numpy over mask grids.
-
-    Faithful only for the standard componentwise meet/join, which it
-    re-implements with array bitwise operations.
-    """
-    import numpy as np
-
-    pos = np.array([a for a, b in elems], dtype=np.uint32)
-    neg = np.array([b for a, b in elems], dtype=np.uint32)
-    qp, qn = pos[:, None], neg[:, None]
-    rp, rn = pos[None, :], neg[None, :]
-    join_p, join_n = qp | rp, qn & rn
-    meet_p, meet_n = qp & rp, qn | rn
-    for i, (pa, pb) in enumerate(elems):
-        ok = (
-            ((pa & join_p) == ((pa & qp) | (pa & rp)))
-            & ((pb | join_n) == ((pb | qn) & (pb | rn)))
-            & ((pa | meet_p) == ((pa | qp) & (pa | rp)))
-            & ((pb & meet_n) == ((pb & qn) | (pb & rn)))
-        )
-        if not ok.all():
-            qi, ri = map(int, np.argwhere(~ok)[0])
-            checked = i * len(elems) ** 2 + qi * len(elems) + ri + 1
-            return AxiomReport(
-                "distributivity", "counterexample", checked, False,
-                (elems[i], elems[qi], elems[ri]), kb.universe,
-            )
-    return AxiomReport("distributivity", "holds", total, True, None, kb.universe)
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"the budget must be at least 1, got {budget}")
 
 
 def check_axiom(
@@ -315,16 +280,19 @@ def check_axiom(
 ) -> AxiomReport:
     """Quantify one axiom over the orthopairs of kb's universe.
 
-    Without `ops` and `elements` the standard operators are checked, by
-    the reduced engine while its case count fits in the budget; given
-    either, the brute engine runs on them.
+    Without `ops` and `elements` the reduced engine checks the standard
+    operators: at most `budget` of its cases are evaluated, and an axiom
+    with more cases and no failure among the first `budget` is undecided.
+    Given either, the brute engine runs on them, and `seed` drives its
+    sampling.  A budget below 1 is a ValueError.
     """
     try:
         axiom = AXIOMS[axiom_id]
     except KeyError:
         raise ValueError(f"unknown axiom {axiom_id!r}") from None
+    _check_budget(budget)
     if ops is None and elements is None:
-        return _check_builtin(kb, axiom, budget, None, seed)
+        return _check_builtin(kb, axiom, budget, None)
     if ops is None:
         ops = standard_ops(kb)
     return _check_brute(kb, axiom, budget, ops, elements, seed)
@@ -345,12 +313,6 @@ def _check_brute(
     )
     total = len(elems) ** axiom.arity
     checked = 0
-    if (
-        axiom_id == "distributivity"
-        and budget < total <= VECTOR_LIMIT
-        and ops.standard_lattice
-    ):
-        return _check_distributivity_bitparallel(kb, elems, total)
     if total <= budget:
         for tup in itertools.product(elems, repeat=axiom.arity):
             checked += 1
@@ -375,9 +337,6 @@ def _check_brute(
 # A variable's state at one object, as bits: 1 = positive, 2 = negative.
 # 0 is the boundary; 3 (both) occurs only under drop-disjointness.
 _POSITIVE, _NEGATIVE = 1, 2
-
-# The brute fallback lists every element; past this many it refuses.
-ENUMERATION_LIMIT = 1 << 16
 
 
 def _state_count(mutation: str | None) -> int:
@@ -456,47 +415,28 @@ def _lift(
 
 
 def _check_builtin(
-    kb: KnowledgeBase,
-    axiom: Axiom,
-    budget: int,
-    mutation: str | None,
-    seed: int,
+    kb: KnowledgeBase, axiom: Axiom, budget: int, mutation: str | None
 ) -> AxiomReport:
     """Check the operators pbzlogic builds: standard, or a named mutation.
 
     An exact verdict reports as cases the tuples it covers, as the brute
-    engine does; the budget is compared with the reduced case count.
+    engine does.  The verdict is the one the first `budget` reduced cases
+    give: the cached run evaluates them in the same order and stops at the
+    first failure.
     """
     states = _state_count(mutation)
     types = states**axiom.arity
     cap = 1 if axiom.pointwise else min(max(map(len, kb.blocks)), types)
-    reduced = _reduced_cases(types, cap)
-    size = kb.universe.size
-    if reduced > budget:
-        if states**size > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"axiom {axiom.ident}: {reduced} reduced cases exceed the budget"
-                f" of {budget}, and {states}^{size} orthopairs are too many to"
-                " enumerate; raise the budget"
-            )
-        if mutation is None:
-            ops, elements = standard_ops(kb), None
-        else:
-            ops = mutated_ops(kb, mutation)
-            elements = (
-                list(_all_pairs_including_overlapping(size))
-                if mutation == "drop-disjointness"
-                else None
-            )
-        return _check_brute(kb, axiom, budget, ops, elements, seed)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
-    if failure is None:
-        total = states ** (size * axiom.arity)
-        return AxiomReport(axiom.ident, "holds", total, True, None, kb.universe)
-    return AxiomReport(
-        axiom.ident, "counterexample", checked, False,
-        _lift(kb, failure, axiom.arity), kb.universe,
-    )
+    if failure is not None and checked <= budget:
+        return AxiomReport(
+            axiom.ident, "counterexample", checked, False,
+            _lift(kb, failure, axiom.arity), kb.universe,
+        )
+    if _reduced_cases(types, cap) > budget:
+        return AxiomReport(axiom.ident, "undecided", budget, False, None, kb.universe)
+    total = states ** (kb.universe.size * axiom.arity)
+    return AxiomReport(axiom.ident, "holds", total, True, None, kb.universe)
 
 
 def check_all(
@@ -530,7 +470,7 @@ MUTATIONS: dict[str, str] = {
 
 
 def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
-    ops = replace(standard_ops(kb), standard_lattice=False)
+    ops = standard_ops(kb)
     full = ops.full
     table = ops.lower_table
 
@@ -562,7 +502,9 @@ def _all_pairs_including_overlapping(size: int) -> Iterator[Pair]:
 def run_mutation(
     kb: KnowledgeBase, name: str, budget: int = DEFAULT_BUDGET
 ) -> list[AxiomReport]:
-    """Run every axiom against one documented mutation."""
+    """Run every axiom against one documented mutation, with the budget
+    semantics of check_axiom."""
     if name not in MUTATIONS:
         raise ValueError(f"unknown mutation {name!r}")
-    return [_check_builtin(kb, axiom, budget, name, 0) for axiom in _AXIOM_LIST]
+    _check_budget(budget)
+    return [_check_builtin(kb, axiom, budget, name) for axiom in _AXIOM_LIST]

@@ -8,8 +8,8 @@ Subcommands:
 * ``validate-logic`` check a logic spec for disjointness and coverage
 * ``list-logics``    show the built-in logics
 
-Exit status: 0 on success, 1 on data errors, 2 when an axiom or logic
-check fails or stays undecided.
+Exit status: 0 on success, 1 on data and usage errors, 2 when an axiom or
+logic check fails or stays undecided.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from . import axioms
 from .logics import (
@@ -385,8 +386,17 @@ def cmd_list_logics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a data error: argparse's own 2 is
+    the code of a failed check.  Subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DATA_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbzlogic",
         description="Seven-valued rough-set classification of decision tables",
     )
@@ -405,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"synthetic universe sizes from 1 to {MAX_VERIFY_SIZE},"
                    " e.g. 3,4 (default 1,2,3,4)")
     p.add_argument("--budget", type=int, default=axioms.DEFAULT_BUDGET,
-                   help="maximum evaluated cases per axiom (reduced cases on"
-                   " the exact path)")
+                   help="maximum cases evaluated per axiom; an axiom with"
+                   " more reduced cases and no failure among them is undecided")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--mutate", help=argparse.SUPPRESS)  # test harness only
     p.set_defaults(func=cmd_verify)

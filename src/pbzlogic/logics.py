@@ -228,8 +228,11 @@ def validate_logic(
     """Check that the logic partitions U for every orthopair over kb.
 
     Exhaustive while 3^|U| fits in the budget; otherwise a randomized
-    search that can only answer "invalid" or "undecided".
+    search that can only answer "invalid" or "undecided".  A budget below 1
+    is a ValueError.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"the budget must be at least 1, got {budget}")
     total = 3**kb.universe.size
     limit = budget if budget is not None else max(EXHAUSTIVE_LIMIT, SAMPLE_BUDGET)
     exhaustive = total <= limit

@@ -81,9 +81,9 @@ def test_all_size_five_partitions_certify():
 
 
 def test_size_six_sampled_partitions():
-    # At size 6 only a few partitions are exercised; axioms whose tuple
+    # At size 6 only a few partitions are exercised; axioms whose case
     # count exceeds the budget may come back undecided, but none may find a
-    # witness.  Distributivity stays exhaustive through its vectorized path.
+    # witness.
     u = default_universe(6)
     kbs = list(all_knowledge_bases(u))
     for kb in kbs[:: max(1, len(kbs) // 3)]:
@@ -99,19 +99,45 @@ def test_six_object_kb_certifies(six_kb):
 
 
 def test_budget_forces_undecided(kb3):
-    # K3 is pointwise: the reduced engine needs 9 cases, so 5 falls back to sampling
+    # K3 is pointwise: the reduced engine needs 9 cases, so 5 leave it undecided
     report = check_axiom(kb3, "K3", budget=5)
     assert report.status == "undecided"
     assert not report.exhaustive
     assert report.cases_checked == 5
 
 
-def test_vectorized_distributivity_matches_scalar(kb3):
-    scalar = check_axiom(kb3, "distributivity")
-    fast = check_axiom(kb3, "distributivity", budget=1)
-    assert scalar.status == fast.status == "holds"
-    assert scalar.exhaustive and fast.exhaustive
-    assert scalar.cases_checked == fast.cases_checked == 27**3
+def test_size_six_budget_cuts_the_reduced_engine_short(monkeypatch, six_kb):
+    # blocks 2, 2, 2: binary A-axioms have 9 + 36 reduced cases,
+    # distributivity 27, the rest at most 9
+    def small_ops_only(kb):
+        assert kb.universe.size < 6, "operators built on the whole knowledge base"
+        return standard_ops(kb)
+
+    monkeypatch.setattr(axioms, "standard_ops", small_ops_only)
+    reports = check_all(six_kb, budget=20)
+    undecided = {r.axiom for r in reports if r.status == "undecided"}
+    assert undecided == {"distributivity", "A2", "A5", "A6", "A9"}
+    for report in reports:
+        if report.axiom in undecided:
+            assert (report.cases_checked, report.exhaustive) == (20, False)
+        else:
+            assert (report.status, report.exhaustive) == ("holds", True)
+
+
+def test_budget_reaches_a_counterexample_only_within_it():
+    # under pawlak-upper-on-both, A5 first fails on the 19th of its 45
+    # reduced cases on a two-object block
+    u = default_universe(2)
+    kb = KnowledgeBase.from_partition(u, [u.full()])
+
+    def a5(budget):
+        return next(r for r in run_mutation(kb, "pawlak-upper-on-both", budget=budget)
+                    if r.axiom == "A5")
+
+    found, short = a5(19), a5(18)
+    assert (found.status, found.cases_checked) == ("counterexample", 19)
+    assert not AXIOMS["A5"].predicate(mutated_ops(kb, "pawlak-upper-on-both"), *found.witness)
+    assert (short.status, short.cases_checked) == ("undecided", 18)
 
 
 def test_mutations_all_detected_on_three_objects(kb3):
@@ -238,9 +264,9 @@ def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
     exact = check_axiom(kb, axiom_id, budget=reduced_cases)
     assert (exact.status, exact.exhaustive) == ("holds", True)
     assert exact.cases_checked == (3**10) ** arity
-    sampled = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
-    assert sampled.status == "undecided"
-    assert sampled.cases_checked == reduced_cases - 1
+    truncated = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
+    assert (truncated.status, truncated.exhaustive) == ("undecided", False)
+    assert truncated.cases_checked == reduced_cases - 1
 
 
 def test_sixteen_objects_certify_without_enumeration(monkeypatch):
@@ -257,5 +283,9 @@ def test_sixteen_objects_certify_without_enumeration(monkeypatch):
     reports = check_all(kb)
     assert certified(reports)
     assert next(r for r in reports if r.axiom == "A2").cases_checked == 3**32
-    with pytest.raises(ValueError, match="too many to enumerate"):
-        check_all(kb, budget=10)
+    # over budget the reduced engine is cut short, with no fallback
+    truncated = {r.axiom: r for r in check_all(kb, budget=10)}
+    distrib = truncated["distributivity"]
+    assert (distrib.status, distrib.cases_checked) == ("undecided", 10)
+    assert truncated["A2"].status == "undecided"
+    assert truncated["K3"].status == "holds"

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbzlogic
 from pbzlogic import LogicSpec, ValueDef
 from pbzlogic.cli import main
 
@@ -274,9 +279,9 @@ def test_verify_sixteen_row_table_is_certified(capsys, tmp_path):
 def test_verify_table_too_large_for_the_budget(capsys, tmp_path):
     path = _table(tmp_path, 16, 5)
     code, out, err = run(capsys, "verify", "--input", str(path), "--budget", "10")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: axiom distributivity: 27 reduced cases exceed")
-    assert "too many to enumerate" in err
+    assert (code, err) == (2, "")
+    assert f"table {path}: FAILED\n" in out
+    assert "  distributivity: undecided (cases checked: 10)\n" in out
 
 
 def test_verify_json_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
@@ -322,6 +327,66 @@ def test_verify_mutation_fails(capsys):
     assert code == 2
     assert "FAILED" in out
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["verify", "--sizes", "2", "--budget", "0"], 0),
+        (["verify", "--sizes", "2", "--budget", "-3"], -3),
+        (["verify", "--sizes", "2", "--mutate", "kleene-identity", "--budget", "0"], 0),
+        (["validate-logic", "--logic", "belnap", "--size", "2", "--budget", "0"], 0),
+    ],
+    ids=["verify-zero", "verify-negative", "mutation", "validate-logic"],
+)
+def test_budget_below_one_is_a_data_error(capsys, argv, budget):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        1, "", f"error: the budget must be at least 1, got {budget}\n"
+    )
+
+
+def test_verify_budget_imports_no_numpy():
+    script = (
+        "import sys\n"
+        "from pbzlogic.cli import main\n"
+        "code = main(['verify', '--sizes', '3', '--budget', '1'])\n"
+        "sys.stderr.write(f'exit {code} numpy {\"numpy\" in sys.modules}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert done.stderr == "exit 2 numpy False"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+        (["validate-logic", "--logic", "belnap", "--size", "abc"],
+         "argument --size: invalid int value: 'abc'"),
+        (["classify"], "the following arguments are required: --input"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["verify-budget", "validate-size", "classify-input", "subcommand"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.startswith("usage: pbzlogic")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pbzlogic")
 
 
 def test_verify_tiny_budget_is_not_certified(capsys):
