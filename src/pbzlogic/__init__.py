@@ -1,115 +1,79 @@
-"""Seven-valued rough-set classification over the Pawlak-Brouwer-Zadeh lattice."""
+"""Seven-valued rough-set classification over the Pawlak-Brouwer-Zadeh lattice.
 
-from .axioms import (
-    AXIOMS,
-    MUTATIONS,
-    AxiomReport,
-    LatticeOps,
-    certified,
-    check_all,
-    check_axiom,
-    mutated_ops,
-    run_mutation,
-    standard_ops,
-)
-from .logics import (
-    LogicAssignment,
-    LogicSpec,
-    LogicValidation,
-    ValueDef,
-    belnap_from_arguments,
-    builtin_logic,
-    builtin_logics,
-    evaluate_logic,
-    validate_logic,
-)
-from .orthopair import (
-    Orthopair,
-    TermError,
-    bottom,
-    brouwer,
-    eval_term,
-    join,
-    kleene,
-    leq,
-    meet,
-    pawlak,
-    top,
-)
-from .sevenvalued import (
-    FORMULATIONS,
-    SevenPartition,
-    TruthValue,
-    block_values,
-    classify,
-    downward_part,
-    part,
-    seven_partition,
-    truth_leq,
-    upward_part,
-)
-from .sweep import (
-    all_knowledge_bases,
-    all_orthopair_masks,
-    all_orthopairs,
-    default_universe,
-    set_partitions,
-)
-from .universe import (
-    KnowledgeBase,
-    ObjectSet,
-    Universe,
-    UniverseMismatchError,
-)
+The public names below are loaded from their modules on first use (PEP 562),
+so `import pbzlogic` alone loads none of its submodules, and a command that
+never touches the axiom engine never imports it.
+"""
 
-__all__ = [
-    "AXIOMS",
-    "MUTATIONS",
-    "AxiomReport",
-    "FORMULATIONS",
-    "KnowledgeBase",
-    "LatticeOps",
-    "LogicAssignment",
-    "LogicSpec",
-    "LogicValidation",
-    "ObjectSet",
-    "Orthopair",
-    "SevenPartition",
-    "TermError",
-    "TruthValue",
-    "Universe",
-    "UniverseMismatchError",
-    "ValueDef",
-    "all_knowledge_bases",
-    "all_orthopair_masks",
-    "all_orthopairs",
-    "belnap_from_arguments",
-    "block_values",
-    "bottom",
-    "brouwer",
-    "builtin_logic",
-    "builtin_logics",
-    "certified",
-    "check_all",
-    "check_axiom",
-    "classify",
-    "default_universe",
-    "downward_part",
-    "eval_term",
-    "evaluate_logic",
-    "join",
-    "kleene",
-    "leq",
-    "meet",
-    "mutated_ops",
-    "part",
-    "pawlak",
-    "run_mutation",
-    "set_partitions",
-    "seven_partition",
-    "standard_ops",
-    "top",
-    "truth_leq",
-    "upward_part",
-    "validate_logic",
-]
+from __future__ import annotations
+
+import importlib
+
+# public name -> the module that defines it; the keys, in order, are __all__
+_MODULE_OF = {
+    "AXIOMS": "axioms",
+    "MUTATIONS": "axioms",
+    "AxiomReport": "axioms",
+    "FORMULATIONS": "sevenvalued",
+    "KnowledgeBase": "universe",
+    "LatticeOps": "axioms",
+    "LogicAssignment": "logics",
+    "LogicSpec": "logics",
+    "LogicValidation": "logics",
+    "ObjectSet": "universe",
+    "Orthopair": "orthopair",
+    "SevenPartition": "sevenvalued",
+    "TermError": "orthopair",
+    "TruthValue": "sevenvalued",
+    "Universe": "universe",
+    "UniverseMismatchError": "universe",
+    "ValueDef": "logics",
+    "all_knowledge_bases": "sweep",
+    "all_orthopair_masks": "sweep",
+    "all_orthopairs": "sweep",
+    "belnap_from_arguments": "logics",
+    "block_values": "sevenvalued",
+    "bottom": "orthopair",
+    "brouwer": "orthopair",
+    "builtin_logic": "logics",
+    "builtin_logics": "logics",
+    "certified": "axioms",
+    "check_all": "axioms",
+    "check_axiom": "axioms",
+    "classify": "sevenvalued",
+    "default_universe": "sweep",
+    "downward_part": "sevenvalued",
+    "eval_term": "orthopair",
+    "evaluate_logic": "logics",
+    "join": "orthopair",
+    "kleene": "orthopair",
+    "leq": "orthopair",
+    "meet": "orthopair",
+    "mutated_ops": "axioms",
+    "part": "sevenvalued",
+    "pawlak": "orthopair",
+    "run_mutation": "axioms",
+    "set_partitions": "sweep",
+    "seven_partition": "sevenvalued",
+    "standard_ops": "axioms",
+    "top": "orthopair",
+    "truth_leq": "sevenvalued",
+    "upward_part": "sevenvalued",
+    "validate_logic": "logics",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,10 +21,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
 
-from . import axioms
 from .logics import (
     LogicSpec,
     builtin_logic,
@@ -99,7 +99,10 @@ def load_table(
     header = [cell.strip() for cell in rows[0]]
     if len(header) < 2:
         raise DataError(f"{path}: need an id column and at least one more column")
-    id_column = header[0]
+    column: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if column.setdefault(name, i) != i:
+            raise DataError(f"{path}: duplicate column name {name!r}")
     decision = config.decision_column or header[-1]
     if decision not in header[1:]:
         raise DataError(f"{path}: decision column {decision!r} not found")
@@ -108,46 +111,40 @@ def load_table(
     for name in attributes:
         if name not in condition_columns:
             raise DataError(f"{path}: condition attribute {name!r} not found")
+    attribute_at = [column[a] for a in attributes]
+    decision_at = column[decision]
 
     positive = {t.lower() for t in config.positive_tokens}
     negative = {t.lower() for t in config.negative_tokens}
     unknown = {t.lower() for t in config.unknown_tokens}
 
-    ids: list[str] = []
     vectors: dict[str, tuple[str, ...]] = {}
-    labels: dict[str, str] = {}
+    positive_ids: list[str] = []
+    negative_ids: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(
                 f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}"
             )
-        cells = dict(zip(header, (cell.strip() for cell in row)))
         oid = row[0].strip()
         if not oid:
             raise DataError(f"{path}:{lineno}: empty object id")
         if oid in vectors:
             raise DataError(f"{path}:{lineno}: duplicate object id {oid!r}")
-        ids.append(oid)
-        vectors[oid] = tuple(cells[a] for a in attributes)
-        token = cells[decision].lower()
+        vectors[oid] = tuple([row[i].strip() for i in attribute_at])
+        token = row[decision_at].strip().lower()
         if token in positive:
-            labels[oid] = "positive"
+            positive_ids.append(oid)
         elif token in negative:
-            labels[oid] = "negative"
-        elif token in unknown:
-            labels[oid] = "unknown"
-        else:
+            negative_ids.append(oid)
+        elif token not in unknown:
             raise DataError(
-                f"{path}:{lineno}: decision token {cells[decision]!r} is not mapped"
+                f"{path}:{lineno}: decision token {row[decision_at].strip()!r} is not mapped"
             )
 
-    universe = Universe(tuple(ids))
+    universe = Universe(tuple(vectors))
     kb = KnowledgeBase.from_attributes(universe, vectors)
-    pair = Orthopair.from_names(
-        universe,
-        (oid for oid in ids if labels[oid] == "positive"),
-        (oid for oid in ids if labels[oid] == "negative"),
-    )
+    pair = Orthopair.from_names(universe, positive_ids, negative_ids)
     return universe, kb, pair
 
 
@@ -201,14 +198,15 @@ def build_classification_report(
         table = spec.value_table()
         derived_order = list(spec.labels())
     values = block_values(kb, pair)
+    seven_of = [value.symbol for value in values]
+    derived_of = [table[value] for value in values]
 
     objects = []
     seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
     derived_counts = dict.fromkeys(derived_order, 0)
     for name, block in zip(kb.universe, kb.block_index):
-        value = values[block]
-        seven = value.symbol
-        derived = single_label(name, table[value])
+        seven = seven_of[block]
+        derived = single_label(name, derived_of[block])
         seven_counts[seven] += 1
         derived_counts[derived] += 1
         objects.append({"id": name, "seven": seven, "derived": derived})
@@ -223,7 +221,36 @@ def build_classification_report(
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(report, indent=2, sort_keys=True)` and a newline.
+
+    With indentation `json.dumps` runs the pure-Python encoder, so the
+    `objects` list of a classification report (entries with the string
+    keys `derived`, `id` and `seven`) is rendered apart: each distinct
+    (derived, seven) pair is encoded once, and each entry adds only its
+    escaped id (the C `encode_basestring_ascii`, which `json.dumps` uses
+    too).  The text goes where the rest of the report, rendered with an
+    empty list, holds `"objects": []`; no string value can hold that line,
+    since `json.dumps` escapes line breaks in strings.
+    """
+    objects = report.get("objects")
+    if not objects:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    rest = json.dumps({**report, "objects": []}, indent=2, sort_keys=True)
+    head, tail = rest.split('\n  "objects": []')
+    escape = encode_basestring_ascii
+    parts: dict[tuple[str, str], tuple[str, str]] = {}
+    entries = []
+    for entry in objects:
+        key = (entry["derived"], entry["seven"])
+        if key not in parts:
+            parts[key] = (
+                f'    {{\n      "derived": {escape(key[0])},\n      "id": ',
+                f',\n      "seven": {escape(key[1])}\n    }}',
+            )
+        before, after = parts[key]
+        entries.append(before + escape(entry["id"]) + after)
+    body = ",\n".join(entries)
+    return f'{head}\n  "objects": [\n{body}\n  ]{tail}\n'
 
 
 def render_classification_text(report: dict) -> str:
@@ -294,6 +321,9 @@ def _render_exact_counts(report: dict) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import axioms  # here, so that the other commands never load the engine
+
+    budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
     runs: list[tuple[str, KnowledgeBase]] = []
     if args.input:
         _, kb, _ = load_table(args.input, _table_config(args))
@@ -311,9 +341,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for label, kb in runs:
         if args.mutate:
-            reports = axioms.run_mutation(kb, args.mutate, budget=args.budget)
+            reports = axioms.run_mutation(kb, args.mutate, budget=budget)
         else:
-            reports = axioms.check_all(kb, budget=args.budget)
+            reports = axioms.check_all(kb, budget=budget)
         ok = axioms.certified(reports)
         failed = failed or not ok
         results.append({"kb": label, "certified": ok,
@@ -414,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes",
                    help=f"synthetic universe sizes from 1 to {MAX_VERIFY_SIZE},"
                    " e.g. 3,4 (default 1,2,3,4)")
-    p.add_argument("--budget", type=int, default=axioms.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="maximum cases evaluated per axiom; an axiom with"
                    " more reduced cases and no failure among them is undecided")
     p.add_argument("--format", choices=("text", "json"), default="text")

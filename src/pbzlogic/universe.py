@@ -11,6 +11,18 @@ class UniverseMismatchError(ValueError):
     """Two values built over different universes were combined."""
 
 
+def _mask(indices: Iterable[int], size: int) -> int:
+    """Bit mask over `size` positions with the given bits set.
+
+    The bits are set in a byte buffer, converted once: OR-ing `1 << i`
+    into an int instead copies the whole mask for every bit.
+    """
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True)
 class Universe:
     """Ordered finite set of named objects; the index of each name is stable."""
@@ -61,10 +73,7 @@ class Universe:
         return ObjectSet(self, self.full_mask)
 
     def subset(self, names: Iterable[str]) -> "ObjectSet":
-        bits = 0
-        for name in names:
-            bits |= 1 << self.index(name)
-        return ObjectSet(self, bits)
+        return ObjectSet(self, _mask(map(self.index, names), self.size))
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,9 @@ class KnowledgeBase:
     ) -> "KnowledgeBase":
         """Partition by exact equality of attribute vectors.
 
-        Tokens are opaque: a missing-value token equals only itself.
+        Tokens are opaque: a missing-value token equals only itself.  Blocks
+        are numbered in order of their first object, and the block id each
+        object gets while grouping seeds `block_index`.
         """
         missing = [name for name in universe if name not in rows]
         if missing:
@@ -165,29 +176,33 @@ class KnowledgeBase:
         unknown = [name for name in rows if name not in universe]
         if unknown:
             raise KeyError(f"unknown object identifiers {unknown}")
-        arity = None
+        arity = len(rows[universe.objects[0]])
         groups: dict[tuple, int] = {}
-        masks: list[int] = []
-        for name in universe:
+        members: list[list[int]] = []
+        block_index: list[int] = []
+        for i, name in enumerate(universe):
             vector = tuple(rows[name])
-            if arity is None:
-                arity = len(vector)
-            elif len(vector) != arity:
+            if len(vector) != arity:
                 raise ValueError(
                     f"attribute vector for {name!r} has arity {len(vector)}, expected {arity}"
                 )
-            i = groups.setdefault(vector, len(masks))
-            if i == len(masks):
-                masks.append(0)
-            masks[i] |= 1 << universe.index(name)
-        return cls(universe, tuple(ObjectSet(universe, m) for m in masks))
+            b = groups.setdefault(vector, len(members))
+            if b == len(members):
+                members.append([])
+            members[b].append(i)
+            block_index.append(b)
+        blocks = tuple(ObjectSet(universe, _mask(m, len(universe))) for m in members)
+        kb = cls(universe, blocks)
+        kb.__dict__["block_index"] = tuple(block_index)  # the cached_property's slot
+        return kb
 
     @cached_property
     def block_index(self) -> tuple[int, ...]:
         """Position in `blocks` of each object's class, by object index.
 
-        Built on first use with one Python step per object: each block's
-        set bits are found with `str.find` on its binary digits.
+        `from_attributes` sets it while grouping rows.  Otherwise it is
+        built on first use from each block's binary digits (`bin()` and
+        `str.find`), which costs O(blocks * |U|) character work.
         """
         out = [0] * self.universe.size
         for bi, block in enumerate(self.blocks):

@@ -154,6 +154,20 @@ def test_classify_data_errors(capsys, tmp_path, content):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["verify"], ["validate-logic", "--logic", "triage"]],
+    ids=["classify", "verify", "validate-logic"],
+)
+def test_duplicate_column_name_is_a_data_error(capsys, tmp_path, argv):
+    # under one name the second `a` would hide the first, and o1 and o2,
+    # which differ in the first `a`, would share a block
+    path = tmp_path / "dup.csv"
+    path.write_text("id,a,a,d\no1,x,p,yes\no2,y,p,no\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: duplicate column name 'a'\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("logic", ["seven", "treatment", "triage", "diagnosis", "belnap"])
 def test_classify_matches_golden_bytes(capsys, demo_csv, logic, fmt):
@@ -359,6 +373,22 @@ def test_verify_budget_imports_no_numpy():
         timeout=60,
     )
     assert done.stderr == "exit 2 numpy False"
+
+
+def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
+    script = (
+        "import sys\n"
+        "from pbzlogic.cli import main\n"
+        f"code = main(['classify', '--input', {str(demo_csv)!r}, '--format', 'json'])\n"
+        "sys.stderr.write(f'exit {code} axioms {\"pbzlogic.axioms\" in sys.modules}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert done.stderr == "exit 0 axioms False"
+    assert json.loads(done.stdout)["logic"] == "seven"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,58 @@
+"""`render_json` splices a classification report's objects from per-value
+fragments; it must print exactly what `json.dumps` prints."""
+
+import csv
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pbzlogic import LogicSpec, builtin_logic, builtin_logics
+from pbzlogic.cli import TableConfig, build_classification_report, load_table, render_json
+
+# Ids and labels the encoder has to escape; "\x00" is left out because
+# csv.reader rejects it before Python 3.11.
+TRICKY = ['"', "\\", "\t", "\x01", "\x1f", "\x7f", "é", "✓", "\U0001f600",
+          '"objects": null', '\n  "objects": []', "\r\n"]
+CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+TEXT = st.lists(st.one_of(st.sampled_from(TRICKY), CHARS), max_size=4).map("".join)
+
+
+def _escaped_triage() -> LogicSpec:
+    """Triage with a name and labels that need escaping."""
+    data = builtin_logic("triage").to_dict()
+    data["name"] = 'my "triage" \\ é'
+    for value, label in zip(data["values"], ('go "now"', "ask\\✓", "\x01 home\n")):
+        value["label"] = label
+    return LogicSpec.from_dict(data)
+
+
+LOGICS = [None, *builtin_logics(), _escaped_triage()]
+
+
+@st.composite
+def tables(draw) -> bytes:
+    """A decision table of 1-12 rows whose ids are drawn from TEXT."""
+    rows = [["id", "a", "d"]]
+    for i in range(draw(st.integers(1, 12))):
+        # the index keeps ids distinct and non-empty after strip()
+        oid = draw(TEXT) + str(i)
+        rows.append([oid, draw(st.sampled_from("pq")), draw(st.sampled_from(["1", "0", "?"]))])
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=tables(), logic=st.sampled_from(LOGICS))
+def test_render_json_equals_json_dumps(data, logic):
+    config = TableConfig()
+    _, kb, pair = load_table("table.csv", config, data)
+    report = build_classification_report(kb, pair, logic, "0" * 64, config.echo())
+    assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_json_without_objects_equals_json_dumps():
+    for report in ({"runs": [], "schema_version": 1}, {"objects": [], "x": '"objects": []'}):
+        assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +172,53 @@ def test_block_index_names_each_objects_block(size):
         assert len(kb.block_index) == size
         for i, block in enumerate(kb.block_index):
             assert kb.blocks[block].bits >> i & 1
+
+
+def _derived_block_index(kb):
+    """block_index as derived from the blocks alone, not seeded by from_attributes."""
+    return KnowledgeBase.from_partition(kb.universe, kb.blocks).block_index
+
+
+def _check_from_attributes(rows):
+    u = Universe(tuple(rows))
+    kb = KnowledgeBase.from_attributes(u, rows)
+    assert kb.block_index == _derived_block_index(kb)
+    by_vector = {}
+    for name, vector in rows.items():
+        by_vector.setdefault(vector, []).append(name)
+    # one block per distinct vector, numbered by first object
+    assert kb.blocks == tuple(u.subset(names) for names in by_vector.values())
+    for names in by_vector.values():
+        assert u.subset(names).bits == sum(1 << u.index(n) for n in names)
+    return kb
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_block_index_matches_derived_on_random_tables(seed):
+    rng = random.Random(seed)
+    rows = {f"r{i}": (rng.choice("ab"), str(rng.randrange(rng.randint(1, 40))))
+            for i in range(rng.randint(1, 300))}
+    _check_from_attributes(rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 9, 200])
+def test_seeded_block_index_on_singletons_and_one_block(rows):
+    singletons = _check_from_attributes({f"r{i}": (str(i),) for i in range(rows)})
+    assert singletons.block_index == tuple(range(rows))
+    one_block = _check_from_attributes({f"r{i}": ("same",) for i in range(rows)})
+    assert one_block.block_index == (0,) * rows
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+def test_seeded_block_index_matches_derived_on_every_partition(size):
+    u = default_universe(size)
+    for kb in all_knowledge_bases(u):
+        rows = {name: (str(kb.block_index[u.index(name)]),) for name in u}
+        seeded = _check_from_attributes(rows)
+        assert set(seeded.blocks) == set(kb.blocks)
+        assert [seeded.blocks[b] for b in seeded.block_index] == [
+            kb.blocks[b] for b in kb.block_index
+        ]
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
