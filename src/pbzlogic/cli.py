@@ -18,12 +18,16 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
 from .logics import (
     LogicSpec,
@@ -32,10 +36,10 @@ from .logics import (
     single_label,
     validate_logic,
 )
-from .orthopair import Orthopair
-from .sevenvalued import TruthValue, block_values
-from .sweep import all_knowledge_bases, default_universe
-from .universe import KnowledgeBase, Universe
+from .sevenvalued import _TRIPLE_TO_VALUE, TruthValue
+
+if TYPE_CHECKING:  # the mask layer is imported by the commands that use it
+    from .universe import KnowledgeBase, Universe
 
 SCHEMA_VERSION = 1
 
@@ -76,27 +80,116 @@ class TableConfig:
         }
 
 
+# Bits of a block's flag: its rows' decisions meet the positive region A,
+# the negative region B, the boundary.
+MEETS_A, MEETS_B, MEETS_BOUNDARY = 1, 2, 4
+
+
+@dataclass(frozen=True)
+class Table:
+    """A decision table reduced to what its seven-valued classification needs.
+
+    Rows are objects, in file order.  Rows with equal condition attributes
+    share a block, and blocks are numbered in order of their first row.  A
+    block's seven value depends only on which of the positive region, the
+    negative region and the boundary its rows' decisions meet, so each block
+    keeps one 3-bit flag of `MEETS_A`, `MEETS_B` and `MEETS_BOUNDARY`
+    instead of a |U|-bit mask.  All of it is linear in the rows.
+    """
+
+    objects: list[str]  # the object id of each row
+    block_ids: array  # array('I'): the block of each row
+    block_sizes: list[int]  # rows per block
+    flags: bytearray  # per block: the regions its rows' decisions meet
+    firsts: array  # array('I'): the first row of each block
+
+    def block_values(self) -> list[TruthValue]:
+        """The seven value of each block, in block order, from its flag."""
+        return [_value_of_flag(flag) for flag in self.flags]
+
+    def knowledge_base(self) -> KnowledgeBase:
+        """The table's partition in the mask layer, for `verify` and
+        `validate-logic`: |U|-bit block masks, as `from_attributes` builds."""
+        from .universe import KnowledgeBase, Universe
+
+        return KnowledgeBase.from_block_ids(Universe(tuple(self.objects)), self.block_ids)
+
+
+def _value_of_flag(flag: int) -> TruthValue:
+    """The seven value of a block with this flag."""
+    return _TRIPLE_TO_VALUE[
+        (flag & MEETS_A != 0, flag & MEETS_B != 0, flag & MEETS_BOUNDARY != 0)
+    ]
+
+
+def _token_flags(config: TableConfig) -> dict[str, int]:
+    """The flag bit of each lowercased decision token; a token in two of
+    the three sets is a DataError."""
+    flag_of: dict[str, int] = {}
+    kind = {MEETS_A: "positive", MEETS_B: "negative", MEETS_BOUNDARY: "unknown"}
+    for flag, tokens in (
+        (MEETS_A, config.positive_tokens),
+        (MEETS_B, config.negative_tokens),
+        (MEETS_BOUNDARY, config.unknown_tokens),
+    ):
+        for token in sorted({t.lower() for t in tokens}):
+            if token in flag_of:
+                raise DataError(
+                    f"decision token {token!r} is in both the {kind[flag_of[token]]}"
+                    f" and the {kind[flag]} tokens"
+                )
+            flag_of[token] = flag
+    return flag_of
+
+
+def _picker(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """A function from a row to the tuple of its cells at `indices`."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of a `csv.reader`, each with the line it starts on.
+
+    A row ends on the reader's `line_num`, so the next one starts on the
+    line after; blank lines and line breaks inside quoted cells count.
+    """
+    start = 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def load_table(
     path: str | Path, config: TableConfig | None = None, data: bytes | None = None
-) -> tuple[Universe, KnowledgeBase, Orthopair]:
-    """Read a CSV decision table into a universe, partition and concept.
+) -> Table:
+    """Read a CSV decision table into a `Table`, in one pass over its rows.
 
-    First column holds object ids; the decision column (default: last)
-    maps to positive/negative/unknown through the configured token sets.
-    `data` is the file's content when the caller has read it already (to
-    hash exactly the bytes parsed); otherwise the file at `path` is read.
+    The first column holds object ids; the decision column (default: last)
+    maps to positive/negative/unknown through the configured token sets,
+    which must be disjoint.  Each row adds its id and block id, and ORs its
+    decision's bit into its block's flag; no list of rows is kept.  `data`
+    is the file's content when the caller has read it already (to hash
+    exactly the bytes parsed); otherwise the file at `path` is read.  A
+    DataError about a row cites the line on which the row starts.
     """
     config = config or TableConfig()
+    flag_of = _token_flags(config)
     if data is None:
         data = Path(path).read_bytes()
     # csv.reader takes \r\n and a lone \r as line ends, as reading in text
     # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
     # stays in the (unused) id column name.
-    text = data.decode("utf-8")
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    if len(rows) < 2:
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    rows = _numbered_rows(reader)
+    header_row = next(rows, None)
+    first_row = next(rows, None)
+    if first_row is None:
         raise DataError(f"{path}: expected a header row and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header_row[1]]
     if len(header) < 2:
         raise DataError(f"{path}: need an id column and at least one more column")
     column: dict[str, int] = {}
@@ -113,39 +206,62 @@ def load_table(
             raise DataError(f"{path}: condition attribute {name!r} not found")
     attribute_at = [column[a] for a in attributes]
     decision_at = column[decision]
+    width = len(header)
 
-    positive = {t.lower() for t in config.positive_tokens}
-    negative = {t.lower() for t in config.negative_tokens}
-    unknown = {t.lower() for t in config.unknown_tokens}
-
-    vectors: dict[str, tuple[str, ...]] = {}
-    positive_ids: list[str] = []
-    negative_ids: list[str] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
+    pick = _picker(attribute_at)
+    objects: list[str] = []
+    seen: set[str] = set()
+    block_ids = array("I")
+    flags = bytearray()
+    firsts = array("I")
+    # `block_of` maps each stripped vector to its block and, as an alias,
+    # each vector as read (a cell read with outer spaces never equals a
+    # stripped one); `flag_of_cell` maps each decision cell as read.  So a
+    # row whose cells were seen before costs one lookup for each.
+    block_of: dict[tuple[str, ...], int] = {}
+    flag_of_cell: dict[str, int] = {}
+    for lineno, row in itertools.chain((first_row,), rows):
+        if len(row) != width:
             raise DataError(
-                f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}"
+                f"{path}:{lineno}: row has {len(row)} cells, header has {width}"
             )
         oid = row[0].strip()
         if not oid:
             raise DataError(f"{path}:{lineno}: empty object id")
-        if oid in vectors:
+        if oid in seen:
             raise DataError(f"{path}:{lineno}: duplicate object id {oid!r}")
-        vectors[oid] = tuple([row[i].strip() for i in attribute_at])
-        token = row[decision_at].strip().lower()
-        if token in positive:
-            positive_ids.append(oid)
-        elif token in negative:
-            negative_ids.append(oid)
-        elif token not in unknown:
-            raise DataError(
-                f"{path}:{lineno}: decision token {row[decision_at].strip()!r} is not mapped"
-            )
+        seen.add(oid)
+        cell = row[decision_at]
+        flag = flag_of_cell.get(cell)
+        if flag is None:
+            flag = flag_of.get(cell.strip().lower())
+            if flag is None:
+                raise DataError(
+                    f"{path}:{lineno}: decision token {cell.strip()!r} is not mapped"
+                )
+            flag_of_cell[cell] = flag
+        vector = pick(row)
+        b = block_of.get(vector)
+        if b is None:
+            b = block_of.setdefault(tuple([c.strip() for c in vector]), len(flags))
+            block_of[vector] = b
+            if b == len(flags):
+                flags.append(0)
+                firsts.append(len(objects))
+        flags[b] |= flag
+        objects.append(oid)
+        block_ids.append(b)
+    rows_in = Counter(block_ids)
+    block_sizes = [rows_in[b] for b in range(len(flags))]
+    return Table(objects, block_ids, block_sizes, flags, firsts)
 
-    universe = Universe(tuple(vectors))
-    kb = KnowledgeBase.from_attributes(universe, vectors)
-    pair = Orthopair.from_names(universe, positive_ids, negative_ids)
-    return universe, kb, pair
+
+def all_knowledge_bases(universe: Universe) -> Iterator[KnowledgeBase]:
+    """`sweep.all_knowledge_bases`, imported on first call so that
+    `classify` never loads the sweep; the synthetic runs look it up here."""
+    from .sweep import all_knowledge_bases
+
+    return all_knowledge_bases(universe)
 
 
 def _parse_size(text: str, option: str, limit: int) -> int:
@@ -179,86 +295,138 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
 
 
 def build_classification_report(
-    kb: KnowledgeBase,
-    pair: Orthopair,
+    table: Table,
     spec: LogicSpec | None,
     input_sha256: str,
     config_echo: dict,
 ) -> dict:
     """Classify every object in one pass over the blocks.
 
-    Each block's value comes from its signature (`block_values`), each
-    object takes its block's value, and a logic is its seven-entry
-    `value_table`; the bare seven values are the identity table.
+    Each block's value comes from its flag, and a logic is its seven-entry
+    `value_table`; the bare seven values are the identity table.  An
+    object takes its block's value and label, so the counts are block
+    sizes and `objects` is an `ObjectRows` over the table's arrays.  A
+    logic that gives a value other than one label is a ValueError naming
+    the first object in row order that has no single label.
     """
     if spec is None:
-        table = {v: (v.symbol,) for v in TruthValue}
+        labels_of = {v: (v.symbol,) for v in TruthValue}
         derived_order = [v.symbol for v in TruthValue]
     else:
-        table = spec.value_table()
+        labels_of = spec.value_table()
         derived_order = list(spec.labels())
-    values = block_values(kb, pair)
-    seven_of = [value.symbol for value in values]
-    derived_of = [table[value] for value in values]
+    # A flag's label is checked on its first block, in block order, which
+    # is the order of the blocks' first rows.  Dicts here are keyed by the
+    # int flags: a TruthValue hashes in Python code.
+    label_of: dict[int, str] = {}
+    rows_of = [0] * 8
+    for first, flag, size in zip(table.firsts, table.flags, table.block_sizes):
+        if flag not in label_of:
+            labels = labels_of[_value_of_flag(flag)]
+            label_of[flag] = single_label(table.objects[first], labels)
+        rows_of[flag] += size
+    symbol_of = {flag: _value_of_flag(flag).symbol for flag in label_of}
 
-    objects = []
     seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
     derived_counts = dict.fromkeys(derived_order, 0)
-    for name, block in zip(kb.universe, kb.block_index):
-        seven = seven_of[block]
-        derived = single_label(name, derived_of[block])
-        seven_counts[seven] += 1
-        derived_counts[derived] += 1
-        objects.append({"id": name, "seven": seven, "derived": derived})
+    for flag, label in label_of.items():
+        seven_counts[symbol_of[flag]] += rows_of[flag]
+        derived_counts[label] += rows_of[flag]
+    seven_of = [symbol_of[flag] for flag in table.flags]
+    derived_of = [label_of[flag] for flag in table.flags]
 
     return {
         "schema_version": SCHEMA_VERSION,
         "logic": spec.name if spec is not None else "seven",
         "provenance": {"input_sha256": input_sha256, "config": config_echo},
-        "objects": objects,
+        "objects": ObjectRows(table.objects, table.block_ids, seven_of, derived_of),
         "summary": {"seven": seven_counts, "derived": derived_counts},
     }
+
+
+class ObjectRows(list):
+    """The `objects` of a classification report, read from the table.
+
+    Entry i is `{"derived": ..., "id": ..., "seven": ...}` for the object
+    `ids[i]` of block `block_ids[i]`, made when read, so that a report
+    holds no dict per object; the renderers read the arrays themselves.
+    It is a list subclass only so that `json.dumps` encodes it (both of
+    its encoders iterate a list subclass): the list's own storage stays
+    empty, so this is a read-only sequence, and list methods not defined
+    here see an empty list.
+    """
+
+    def __init__(self, ids: list[str], block_ids: array,
+                 seven: list[str], derived: list[str]) -> None:
+        super().__init__()
+        self.ids = ids
+        self.block_ids = block_ids
+        self.seven = seven  # per block
+        self.derived = derived  # per block
+
+    def _entry(self, oid: str, block: int) -> dict:
+        return {"id": oid, "seven": self.seven[block], "derived": self.derived[block]}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._entry, self.ids, self.block_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._entry, self.ids[i], self.block_ids[i]))
+        return self._entry(self.ids[i], self.block_ids[i])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, list) and list(self) == list(other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def render_json(report: dict) -> str:
     """`json.dumps(report, indent=2, sort_keys=True)` and a newline.
 
     With indentation `json.dumps` runs the pure-Python encoder, so the
-    `objects` list of a classification report (entries with the string
-    keys `derived`, `id` and `seven`) is rendered apart: each distinct
-    (derived, seven) pair is encoded once, and each entry adds only its
-    escaped id (the C `encode_basestring_ascii`, which `json.dumps` uses
-    too).  The text goes where the rest of the report, rendered with an
-    empty list, holds `"objects": []`; no string value can hold that line,
-    since `json.dumps` escapes line breaks in strings.
+    `objects` of a classification report (an `ObjectRows`) is rendered
+    apart: each distinct (derived, seven) pair is encoded once, and each
+    object adds only its escaped id (the C `encode_basestring_ascii`, which
+    `json.dumps` uses too) between its block's two fragments.  The text
+    goes where the rest of the report, rendered with an empty list, holds
+    `"objects": []`; no string value can hold that line, since `json.dumps`
+    escapes line breaks in strings.
     """
-    objects = report.get("objects")
-    if not objects:
+    rows = report.get("objects")
+    if not isinstance(rows, ObjectRows) or not rows:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     rest = json.dumps({**report, "objects": []}, indent=2, sort_keys=True)
     head, tail = rest.split('\n  "objects": []')
     escape = encode_basestring_ascii
-    parts: dict[tuple[str, str], tuple[str, str]] = {}
-    entries = []
-    for entry in objects:
-        key = (entry["derived"], entry["seven"])
-        if key not in parts:
-            parts[key] = (
-                f'    {{\n      "derived": {escape(key[0])},\n      "id": ',
-                f',\n      "seven": {escape(key[1])}\n    }}',
-            )
-        before, after = parts[key]
-        entries.append(before + escape(entry["id"]) + after)
-    body = ",\n".join(entries)
+    pairs = list(zip(rows.derived, rows.seven))  # per block
+    fragments = {
+        (derived, seven): (
+            f'    {{\n      "derived": {escape(derived)},\n      "id": ',
+            f',\n      "seven": {escape(seven)}\n    }}',
+        )
+        for derived, seven in set(pairs)
+    }
+    before, after = zip(*map(fragments.get, pairs))
+    body = ",\n".join([
+        before[b] + oid + after[b] for oid, b in zip(map(escape, rows.ids), rows.block_ids)
+    ])
     return f'{head}\n  "objects": [\n{body}\n  ]{tail}\n'
 
 
 def render_classification_text(report: dict) -> str:
-    lines = [f"logic: {report['logic']}"]
-    width = max(6, max(len(entry["id"]) for entry in report["objects"]))
-    lines.append(f"{'object':<{width + 2}}{'seven':<7}derived")
-    for entry in report["objects"]:
-        lines.append(f"{entry['id']:<{width + 2}}{entry['seven']:<7}{entry['derived']}")
+    rows = report["objects"]
+    width = max(6, max(map(len, rows.ids))) + 2
+    suffix = [f"{seven:<7}{derived}" for seven, derived in zip(rows.seven, rows.derived)]
+    lines = [f"logic: {report['logic']}", f"{'object':<{width}}{'seven':<7}derived"]
+    lines += [oid.ljust(width) + suffix[b] for oid, b in zip(rows.ids, rows.block_ids)]
     for kind in ("seven", "derived"):
         counts = report["summary"][kind]
         lines.append(
@@ -296,10 +464,10 @@ def _add_table_options(sub: argparse.ArgumentParser, required: bool) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     config = _table_config(args)
     data = Path(args.input).read_bytes()
-    _, kb, pair = load_table(args.input, config, data)
+    table = load_table(args.input, config, data)
     spec = _resolve_logic(args.logic)
     report = build_classification_report(
-        kb, pair, spec, hashlib.sha256(data).hexdigest(), config.echo()
+        table, spec, hashlib.sha256(data).hexdigest(), config.echo()
     )
     if args.format == "json":
         sys.stdout.write(render_json(report))
@@ -326,9 +494,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
     runs: list[tuple[str, KnowledgeBase]] = []
     if args.input:
-        _, kb, _ = load_table(args.input, _table_config(args))
+        kb = load_table(args.input, _table_config(args)).knowledge_base()
         runs.append((f"table {args.input}", kb))
     else:
+        from .sweep import default_universe
+
         sizes = [
             _parse_size(s, "--sizes", MAX_VERIFY_SIZE)
             for s in (args.sizes or "1,2,3,4").split(",")
@@ -374,9 +544,10 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
         raise DataError("the base seven-valued assignment needs no validation")
     kbs: list[KnowledgeBase]
     if args.input:
-        _, kb, _ = load_table(args.input, _table_config(args))
-        kbs = [kb]
+        kbs = [load_table(args.input, _table_config(args)).knowledge_base()]
     else:
+        from .sweep import default_universe
+
         size = _parse_size(str(args.size), "--size", MAX_VALIDATE_SIZE)
         kbs = list(all_knowledge_bases(default_universe(size)))
     failed = False

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .orthopair import Orthopair
 from .sevenvalued import (
     DOWNWARD_MEMBERS,
     UPWARD_MEMBERS,
@@ -21,8 +20,10 @@ from .sevenvalued import (
     downward_part,
     upward_part,
 )
-from .sweep import all_orthopairs
-from .universe import KnowledgeBase, ObjectSet
+
+if TYPE_CHECKING:  # the mask layer is imported where it is used
+    from .orthopair import Orthopair
+    from .universe import KnowledgeBase, ObjectSet
 
 BASE_SYMBOLS = tuple(v.symbol for v in TruthValue)
 
@@ -206,6 +207,9 @@ class LogicValidation:
 
 
 def _sampled_orthopairs(kb: KnowledgeBase, budget: int, seed: int) -> Iterator[Orthopair]:
+    from .orthopair import Orthopair
+    from .universe import ObjectSet
+
     rng = random.Random(seed)
     universe = kb.universe
     for _ in range(budget):
@@ -231,6 +235,8 @@ def validate_logic(
     search that can only answer "invalid" or "undecided".  A budget below 1
     is a ValueError.
     """
+    from .sweep import all_orthopairs
+
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
     total = 3**kb.universe.size

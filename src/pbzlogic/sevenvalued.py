@@ -5,15 +5,21 @@ concept, according to how its equivalence class meets the positive region,
 the negative region and the boundary.  Every part can be computed three
 ways: directly from the blocks (classwise), from rough-approximation
 formulas, or by evaluating a lattice operator term; the three must agree.
+
+The mask layer (`universe`, `orthopair`) is imported where it is used, so
+that the `classify` command, which needs only `TruthValue` and
+`_TRIPLE_TO_VALUE`, never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .orthopair import Orthopair, eval_term
-from .universe import KnowledgeBase, ObjectSet, UniverseMismatchError
+if TYPE_CHECKING:
+    from .orthopair import Orthopair
+    from .universe import KnowledgeBase, ObjectSet
 
 
 class TruthValue(Enum):
@@ -128,6 +134,8 @@ DOWNWARD_TERMS: dict[TruthValue, str] = {
 
 def _check(kb: KnowledgeBase, p: Orthopair) -> None:
     if kb.universe != p.universe:
+        from .universe import UniverseMismatchError
+
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
 
 
@@ -183,6 +191,9 @@ def part(
     formulation: str = "approximation",
 ) -> ObjectSet:
     """One of the seven base parts of p, under the chosen formulation."""
+    from .orthopair import eval_term
+    from .universe import ObjectSet
+
     _check(kb, p)
     if formulation == "classwise":
         return ObjectSet(kb.universe, _classwise_mask(kb, p, v))
@@ -275,6 +286,9 @@ def _aggregate(
     closed_form,
     terms: dict[TruthValue, str],
 ) -> ObjectSet:
+    from .orthopair import eval_term
+    from .universe import ObjectSet
+
     _check(kb, p)
     if formulation == "classwise":
         bits = 0

@@ -167,8 +167,7 @@ class KnowledgeBase:
         """Partition by exact equality of attribute vectors.
 
         Tokens are opaque: a missing-value token equals only itself.  Blocks
-        are numbered in order of their first object, and the block id each
-        object gets while grouping seeds `block_index`.
+        are numbered in order of their first object (`from_block_ids`).
         """
         missing = [name for name in universe if name not in rows]
         if missing:
@@ -178,29 +177,45 @@ class KnowledgeBase:
             raise KeyError(f"unknown object identifiers {unknown}")
         arity = len(rows[universe.objects[0]])
         groups: dict[tuple, int] = {}
-        members: list[list[int]] = []
-        block_index: list[int] = []
-        for i, name in enumerate(universe):
+        block_ids: list[int] = []
+        for name in universe:
             vector = tuple(rows[name])
             if len(vector) != arity:
                 raise ValueError(
                     f"attribute vector for {name!r} has arity {len(vector)}, expected {arity}"
                 )
-            b = groups.setdefault(vector, len(members))
-            if b == len(members):
-                members.append([])
+            block_ids.append(groups.setdefault(vector, len(groups)))
+        return cls.from_block_ids(universe, block_ids)
+
+    @classmethod
+    def from_block_ids(
+        cls, universe: Universe, block_ids: Sequence[int]
+    ) -> "KnowledgeBase":
+        """The partition in which object i lies in block `block_ids[i]`.
+
+        Block numbers run from 0 without gaps, so that they are positions
+        in `blocks`; the given ids seed `block_index`.  Each block's mask is
+        built once from its members.
+        """
+        if len(block_ids) != len(universe):
+            raise ValueError(
+                f"{len(block_ids)} block ids for a universe of {len(universe)} objects"
+            )
+        if min(block_ids) < 0:
+            raise ValueError("block ids must not be negative")
+        members: list[list[int]] = [[] for _ in range(max(block_ids) + 1)]
+        for i, b in enumerate(block_ids):
             members[b].append(i)
-            block_index.append(b)
         blocks = tuple(ObjectSet(universe, _mask(m, len(universe))) for m in members)
-        kb = cls(universe, blocks)
-        kb.__dict__["block_index"] = tuple(block_index)  # the cached_property's slot
+        kb = cls(universe, blocks)  # checks that no block is empty
+        kb.__dict__["block_index"] = tuple(block_ids)  # the cached_property's slot
         return kb
 
     @cached_property
     def block_index(self) -> tuple[int, ...]:
         """Position in `blocks` of each object's class, by object index.
 
-        `from_attributes` sets it while grouping rows.  Otherwise it is
+        `from_block_ids` (and so `from_attributes`) sets it.  Otherwise it is
         built on first use from each block's binary digits (`bin()` and
         `str.find`), which costs O(blocks * |U|) character work.
         """

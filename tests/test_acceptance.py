@@ -5,11 +5,13 @@ Every criterion sweeps all set partitions of universes of size 1-4
 over each universe (up to 81 per knowledge base).
 """
 
+import csv
 import json
 from pathlib import Path
 
 from pbzlogic import (
     MUTATIONS,
+    Orthopair,
     TruthValue,
     all_knowledge_bases,
     all_orthopairs,
@@ -123,8 +125,19 @@ def test_acceptance_5_treatment_identity():
     _verdict(5, "treatment split identity", ok)
 
 
+def _demo_concept(universe):
+    """The concept of demo.csv's decision column, read apart from load_table."""
+    with DEMO_CSV.open(newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    return Orthopair.from_names(
+        universe, [r[0] for r in rows if r[-1] == "yes"], [r[0] for r in rows if r[-1] == "no"]
+    )
+
+
 def test_acceptance_6_six_object_fixture_vs_oracle():
-    _, kb, pair = load_table(DEMO_CSV)
+    table = load_table(DEMO_CSV)
+    kb = table.knowledge_base()
+    pair = _demo_concept(kb.universe)
     blocks = [frozenset(block) for block in kb.blocks]
     expected = oracle_parts(blocks, frozenset(pair.positive), frozenset(pair.negative))
     sp = seven_partition(kb, pair)
@@ -134,6 +147,9 @@ def test_acceptance_6_six_object_fixture_vs_oracle():
     ok = ok and frozenset(sp[V.SOMETIMES_FALSE]) == {"o5", "o6"}
     triage = evaluate_logic(kb, pair, builtin_logic("triage"))
     ok = ok and triage.counts() == {"hospitalize": 2, "expert": 2, "discharge": 2}
+    # the table's flags give every object its value in the seven partition
+    values = table.block_values()
+    ok = ok and [values[b] for b in table.block_ids] == [sp.value_of(n) for n in kb.universe]
     _verdict(6, "six-object fixture matches independent oracle", ok)
 
 
@@ -159,9 +175,8 @@ def test_acceptance_8_cli_determinism_and_round_trip(capsys):
     ok = first == second
 
     parsed = json.loads(first)
-    _, kb, pair = load_table(DEMO_CSV)
     in_memory = build_classification_report(
-        kb, pair, builtin_logic("triage"),
+        load_table(DEMO_CSV), builtin_logic("triage"),
         parsed["provenance"]["input_sha256"], parsed["provenance"]["config"],
     )
     ok = ok and parsed == json.loads(render_json(in_memory))

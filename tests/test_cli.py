@@ -155,6 +155,46 @@ def test_classify_data_errors(capsys, tmp_path, content):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        # blank lines count: o2 is on line 5
+        ("id,a,d\n\no1,x,yes\n\no2,y,maybe\n", "5: decision token 'maybe' is not mapped"),
+        # the quoted cell of o1 spans lines 2 and 3, so o2 starts on line 4
+        ('id,a,d\no1,"x\ny",yes\no2,y,maybe\n', "4: decision token 'maybe' is not mapped"),
+        ('id,a,d\no1,"x\ny",yes\no2,p,yes,no\n', "4: row has 4 cells, header has 3"),
+        # a row that spans lines 3 and 4 is cited by the line it starts on
+        ('id,a,d\n\no1,"x\ny",maybe\n', "3: decision token 'maybe' is not mapped"),
+        ("\r\nid,a,d\r\no1,x,yes\r\n\r\no1,y,no\r\n", "5: duplicate object id 'o1'"),
+        ("id,a,d\r\r o1,x,yes\r\r,y,no\r", "5: empty object id"),
+    ],
+    ids=["blank-lines", "quoted-break", "quoted-break-ragged", "row-spans-lines",
+         "crlf-blank-lines", "lone-cr-blank-lines"],
+)
+def test_data_errors_cite_the_line_the_row_starts_on(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content.encode("utf-8"))
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}:{message}\n")
+
+
+@pytest.mark.parametrize(
+    "options, sets, token",
+    [
+        (["--negative-tokens", "yes,no"], "positive and the negative", "yes"),
+        (["--unknown-tokens", "?,True"], "positive and the unknown", "true"),
+        (["--positive-tokens", "ja", "--negative-tokens", "nein,?"],
+         "negative and the unknown", "?"),
+    ],
+    ids=["positive-negative", "positive-unknown", "negative-unknown"],
+)
+def test_a_token_in_two_sets_is_a_data_error(capsys, small_csv, options, sets, token):
+    code, out, err = run(capsys, "classify", "--input", str(small_csv), *options)
+    assert (code, out, err) == (
+        1, "", f"error: decision token {token!r} is in both the {sets} tokens\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [["classify"], ["verify"], ["validate-logic", "--logic", "triage"]],
     ids=["classify", "verify", "validate-logic"],
@@ -381,13 +421,15 @@ def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
         "from pbzlogic.cli import main\n"
         f"code = main(['classify', '--input', {str(demo_csv)!r}, '--format', 'json'])\n"
         "sys.stderr.write(f'exit {code} axioms {\"pbzlogic.axioms\" in sys.modules}')\n"
+        "for name in ('orthopair', 'universe', 'sweep'):\n"
+        "    sys.stderr.write(f' {name} {\"pbzlogic.\" + name in sys.modules}')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
         timeout=60,
     )
-    assert done.stderr == "exit 0 axioms False"
+    assert done.stderr == "exit 0 axioms False orthopair False universe False sweep False"
     assert json.loads(done.stdout)["logic"] == "seven"
 
 

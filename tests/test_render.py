@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbzlogic import LogicSpec, builtin_logic, builtin_logics
-from pbzlogic.cli import TableConfig, build_classification_report, load_table, render_json
+from pbzlogic.cli import (
+    TableConfig,
+    build_classification_report,
+    load_table,
+    render_classification_text,
+    render_json,
+)
 
 # Ids and labels the encoder has to escape; "\x00" is left out because
 # csv.reader rejects it before Python 3.11.
@@ -48,9 +54,27 @@ def tables(draw) -> bytes:
 @given(data=tables(), logic=st.sampled_from(LOGICS))
 def test_render_json_equals_json_dumps(data, logic):
     config = TableConfig()
-    _, kb, pair = load_table("table.csv", config, data)
-    report = build_classification_report(kb, pair, logic, "0" * 64, config.echo())
+    table = load_table("table.csv", config, data)
+    report = build_classification_report(table, logic, "0" * 64, config.echo())
     assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=tables(), logic=st.sampled_from(LOGICS))
+def test_render_text_formats_each_entry(data, logic):
+    config = TableConfig()
+    report = build_classification_report(
+        load_table("table.csv", config, data), logic, "0" * 64, config.echo()
+    )
+    objects = list(report["objects"])
+    width = max(6, max(len(entry["id"]) for entry in objects)) + 2
+    lines = [f"logic: {report['logic']}", f"{'object':<{width}}{'seven':<7}derived"]
+    lines += [f"{e['id']:<{width}}{e['seven']:<7}{e['derived']}" for e in objects]
+    lines += [
+        f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in report["summary"][kind].items())
+        for kind in ("seven", "derived")
+    ]
+    assert render_classification_text(report) == "\n".join(lines) + "\n"
 
 
 def test_render_json_without_objects_equals_json_dumps():

@@ -115,6 +115,19 @@ def test_from_attributes_errors():
         KnowledgeBase.from_attributes(u, {"a": ("1",)})
 
 
+def test_from_block_ids_errors():
+    u = Universe.of("a", "b", "c")
+    with pytest.raises(ValueError, match="2 block ids for a universe of 3 objects"):
+        KnowledgeBase.from_block_ids(u, [0, 0])
+    with pytest.raises(ValueError, match="must not be negative"):
+        KnowledgeBase.from_block_ids(u, [0, -1, 0])
+    with pytest.raises(ValueError, match="empty partition block"):
+        KnowledgeBase.from_block_ids(u, [0, 2, 0])  # block 1 has no object
+    kb = KnowledgeBase.from_block_ids(u, [1, 0, 1])
+    assert kb.blocks == (u.subset(["b"]), u.subset(["a", "c"]))
+    assert kb.block_index == (1, 0, 1) == _derived_block_index(kb)
+
+
 def test_approximations_six_object(six_universe, six_kb):
     x = six_universe.subset(["o1", "o2", "o3"])
     assert six_kb.lower(x).names() == ("o1", "o2")
