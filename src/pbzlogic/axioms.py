@@ -78,9 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .sweep import all_orthopair_masks, default_universe
 from .universe import KnowledgeBase, Universe
@@ -90,8 +88,7 @@ Pair = tuple[int, int]
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class LatticeOps:
+class LatticeOps(NamedTuple):
     """Raw orthopair operations over bit masks; the disjointness invariant
     is not enforced at this level."""
 
@@ -143,8 +140,7 @@ def standard_ops(kb: KnowledgeBase) -> LatticeOps:
     return LatticeOps(full, table, meet, join, kleene, brouwer, pawlak)
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     ident: str
     arity: int
     description: str
@@ -233,8 +229,7 @@ _AXIOM_LIST = (
 AXIOMS: dict[str, Axiom] = {axiom.ident: axiom for axiom in _AXIOM_LIST}
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     axiom: str
     status: str  # "holds" | "counterexample" | "undecided"
     cases_checked: int
@@ -307,6 +302,8 @@ def _check_brute(
     seed: int,
 ) -> AxiomReport:
     """Enumerate (or, over budget, sample) every tuple of elements."""
+    import random  # here, so that `verify`, which never samples, does not load it
+
     axiom_id = axiom.ident
     elems = list(elements) if elements is not None else list(
         all_orthopair_masks(kb.universe.size)
@@ -475,18 +472,17 @@ def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
     table = ops.lower_table
 
     if name == "pawlak-upper-on-negative":
-        return replace(ops, pawlak=lambda p: (table[p[0]], full ^ table[full ^ p[1]]))
+        return ops._replace(pawlak=lambda p: (table[p[0]], full ^ table[full ^ p[1]]))
     if name == "pawlak-upper-on-both":
-        return replace(
-            ops,
+        return ops._replace(
             pawlak=lambda p: (full ^ table[full ^ p[0]], full ^ table[full ^ p[1]]),
         )
     if name == "kleene-identity":
-        return replace(ops, kleene=lambda p: p)
+        return ops._replace(kleene=lambda p: p)
     if name == "brouwer-as-kleene":
-        return replace(ops, brouwer=lambda p: (p[1], p[0]))
+        return ops._replace(brouwer=lambda p: (p[1], p[0]))
     if name == "meet-drops-negative":
-        return replace(ops, meet=lambda p, q: (p[0] & q[0], p[1] & q[1]))
+        return ops._replace(meet=lambda p, q: (p[0] & q[0], p[1] & q[1]))
     if name == "drop-disjointness":
         return ops  # the mutation changes the enumeration, not the operators
     raise ValueError(f"unknown mutation {name!r}")

@@ -16,29 +16,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import itertools
 import json
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn
 
-from .logics import (
-    LogicSpec,
-    builtin_logic,
-    builtin_logics,
-    single_label,
-    validate_logic,
-)
-from .sevenvalued import _TRIPLE_TO_VALUE, TruthValue
-
-if TYPE_CHECKING:  # the mask layer is imported by the commands that use it
+if TYPE_CHECKING:  # each command imports the modules it uses
+    from .logics import LogicSpec, LogicValidation
+    from .sevenvalued import TruthValue
     from .universe import KnowledgeBase, Universe
 
 SCHEMA_VERSION = 1
@@ -62,8 +53,7 @@ class DataError(ValueError):
     """Unusable input data; reported with file location where possible."""
 
 
-@dataclass
-class TableConfig:
+class TableConfig(NamedTuple):
     attributes: tuple[str, ...] | None = None  # None: all condition columns
     decision_column: str | None = None  # None: last column
     positive_tokens: tuple[str, ...] = DEFAULT_POSITIVE
@@ -85,8 +75,7 @@ class TableConfig:
 MEETS_A, MEETS_B, MEETS_BOUNDARY = 1, 2, 4
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """A decision table reduced to what its seven-valued classification needs.
 
     Rows are objects, in file order.  Rows with equal condition attributes
@@ -117,6 +106,8 @@ class Table:
 
 def _value_of_flag(flag: int) -> TruthValue:
     """The seven value of a block with this flag."""
+    from .sevenvalued import _TRIPLE_TO_VALUE
+
     return _TRIPLE_TO_VALUE[
         (flag & MEETS_A != 0, flag & MEETS_B != 0, flag & MEETS_BOUNDARY != 0)
     ]
@@ -150,17 +141,22 @@ def _picker(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+def _numbered_rows(reader, path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows of a `csv.reader`, each with the line it starts on.
 
     A row ends on the reader's `line_num`, so the next one starts on the
-    line after; blank lines and line breaks inside quoted cells count.
+    line after; blank lines and line breaks inside quoted cells count.  A
+    row the reader rejects, such as one with a cell over the csv module's
+    field size limit, is a DataError citing the line on which it starts.
     """
     start = 1
-    for row in reader:
-        if row:
-            yield start, row
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{start}: {exc}") from exc
 
 
 def load_table(
@@ -184,7 +180,7 @@ def load_table(
     # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
     # stays in the (unused) id column name.
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    rows = _numbered_rows(reader)
+    rows = _numbered_rows(reader, path)
     header_row = next(rows, None)
     first_row = next(rows, None)
     if first_row is None:
@@ -264,6 +260,14 @@ def all_knowledge_bases(universe: Universe) -> Iterator[KnowledgeBase]:
     return all_knowledge_bases(universe)
 
 
+def validate_logic(kb: KnowledgeBase, spec: LogicSpec, budget: int | None) -> LogicValidation:
+    """`logics.validate_logic`, imported on first call so that `verify`
+    never loads the logics; the traced runs look it up here."""
+    from .logics import validate_logic
+
+    return validate_logic(kb, spec, budget=budget)
+
+
 def _parse_size(text: str, option: str, limit: int) -> int:
     """A synthetic universe size from 1 to `limit`, else a DataError."""
     try:
@@ -279,6 +283,8 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
     """A built-in name, a spec file path, or None for the bare seven values."""
     if name_or_path == "seven":
         return None
+    from .logics import LogicSpec, builtin_logic
+
     try:
         return builtin_logic(name_or_path)
     except KeyError:
@@ -309,6 +315,9 @@ def build_classification_report(
     logic that gives a value other than one label is a ValueError naming
     the first object in row order that has no single label.
     """
+    from .logics import single_label
+    from .sevenvalued import TruthValue
+
     if spec is None:
         labels_of = {v: (v.symbol,) for v in TruthValue}
         derived_order = [v.symbol for v in TruthValue]
@@ -462,6 +471,8 @@ def _add_table_options(sub: argparse.ArgumentParser, required: bool) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    import hashlib
+
     config = _table_config(args)
     data = Path(args.input).read_bytes()
     table = load_table(args.input, config, data)
@@ -580,6 +591,8 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
 
 
 def cmd_list_logics(args: argparse.Namespace) -> int:
+    from .logics import builtin_logics
+
     for spec in builtin_logics():
         labels = ", ".join(spec.labels())
         sys.stdout.write(f"{spec.name}: {labels}\n")

@@ -9,10 +9,9 @@ checks that the derived values partition the universe for every concept.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from ._record import FrozenRecord
 from .sevenvalued import (
     DOWNWARD_MEMBERS,
     UPWARD_MEMBERS,
@@ -33,8 +32,7 @@ EXHAUSTIVE_LIMIT = 3**12
 SAMPLE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class ValueDef:
+class ValueDef(FrozenRecord):
     """One derived truth value.
 
     `up` names base values whose upward aggregations are unioned; `down`
@@ -42,20 +40,23 @@ class ValueDef:
     are intersected.
     """
 
-    label: str
-    up: tuple[str, ...] = ()
-    down: tuple[str, ...] = ()
+    __slots__ = ("label", "up", "down")
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(
+        self, label: str, up: tuple[str, ...] = (), down: tuple[str, ...] = ()
+    ) -> None:
+        if not label:
             raise ValueError("derived value needs a label")
-        if not self.up and not self.down:
-            raise ValueError(f"derived value {self.label!r} has an empty definition")
-        for symbol in (*self.up, *self.down):
+        if not up and not down:
+            raise ValueError(f"derived value {label!r} has an empty definition")
+        for symbol in (*up, *down):
             if symbol not in BASE_SYMBOLS:
                 raise ValueError(
-                    f"unknown base truth value {symbol!r} in {self.label!r}"
+                    f"unknown base truth value {symbol!r} in {label!r}"
                 )
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     def evaluate(self, kb: KnowledgeBase, p: Orthopair) -> ObjectSet:
         result = None
@@ -85,19 +86,19 @@ class ValueDef:
         return frozenset(set.intersection(*held))
 
 
-@dataclass(frozen=True)
-class LogicSpec:
+class LogicSpec(FrozenRecord):
     """A named logic: an ordered tuple of derived value definitions."""
 
-    name: str
-    values: tuple[ValueDef, ...]
+    __slots__ = ("name", "values")
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, name: str, values: tuple[ValueDef, ...]) -> None:
+        if not values:
             raise ValueError("a logic needs at least one derived value")
-        labels = [v.label for v in self.values]
+        labels = [v.label for v in values]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate derived value labels in logic {self.name!r}")
+            raise ValueError(f"duplicate derived value labels in logic {name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label for v in self.values)
@@ -141,12 +142,14 @@ class LogicSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class LogicAssignment:
+class LogicAssignment(FrozenRecord):
     """Evaluated derived-value sets of one concept under one logic."""
 
-    logic: LogicSpec
-    parts: dict[str, ObjectSet]
+    __slots__ = ("logic", "parts")
+
+    def __init__(self, logic: LogicSpec, parts: dict[str, ObjectSet]) -> None:
+        object.__setattr__(self, "logic", logic)
+        object.__setattr__(self, "parts", parts)
 
     def __getitem__(self, label: str) -> ObjectSet:
         return self.parts[label]
@@ -175,8 +178,7 @@ def evaluate_logic(kb: KnowledgeBase, p: Orthopair, spec: LogicSpec) -> LogicAss
     return LogicAssignment(spec, {v.label: v.evaluate(kb, p) for v in spec.values})
 
 
-@dataclass(frozen=True)
-class LogicValidation:
+class LogicValidation(NamedTuple):
     """Outcome of checking disjointness and coverage over all concepts."""
 
     logic: str
@@ -207,6 +209,8 @@ class LogicValidation:
 
 
 def _sampled_orthopairs(kb: KnowledgeBase, budget: int, seed: int) -> Iterator[Orthopair]:
+    import random
+
     from .orthopair import Orthopair
     from .universe import ObjectSet
 

@@ -9,9 +9,9 @@ composite operator terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import FrozenRecord
 from .universe import KnowledgeBase, ObjectSet, Universe, UniverseMismatchError
 
 
@@ -19,18 +19,18 @@ class TermError(ValueError):
     """Malformed operator term."""
 
 
-@dataclass(frozen=True)
-class Orthopair:
+class Orthopair(FrozenRecord):
     """Pair of disjoint object sets over one universe."""
 
-    positive: ObjectSet
-    negative: ObjectSet
+    __slots__ = ("positive", "negative")
 
-    def __post_init__(self) -> None:
-        if self.positive.universe != self.negative.universe:
+    def __init__(self, positive: ObjectSet, negative: ObjectSet) -> None:
+        if positive.universe != negative.universe:
             raise UniverseMismatchError("orthopair components over different universes")
-        if self.positive.bits & self.negative.bits:
+        if positive.bits & negative.bits:
             raise ValueError("positive and negative regions must be disjoint")
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
     @classmethod
     def from_names(

@@ -13,9 +13,10 @@ that the `classify` command, which needs only `TruthValue` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
+
+from ._record import FrozenRecord
 
 if TYPE_CHECKING:
     from .orthopair import Orthopair
@@ -243,11 +244,13 @@ def classify(kb: KnowledgeBase, p: Orthopair, name: str) -> TruthValue:
     return _signature_value(kb.block_of(name).bits, a, b, bd)
 
 
-@dataclass(frozen=True)
-class SevenPartition:
+class SevenPartition(FrozenRecord):
     """The seven parts of one concept; pairwise disjoint and covering U."""
 
-    parts: dict[TruthValue, ObjectSet]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: dict[TruthValue, ObjectSet]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def __getitem__(self, v: TruthValue) -> ObjectSet:
         return self.parts[v]

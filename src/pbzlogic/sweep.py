@@ -6,10 +6,12 @@ Everything here is meant for small universes: the number of orthopairs is
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .orthopair import Orthopair
 from .universe import KnowledgeBase, ObjectSet, Universe
+
+if TYPE_CHECKING:  # imported in `all_orthopairs`: the axiom engine, on masks, never loads it
+    from .orthopair import Orthopair
 
 
 def all_subset_masks(size: int) -> range:
@@ -30,6 +32,8 @@ def all_orthopair_masks(size: int) -> Iterator[tuple[int, int]]:
 
 
 def all_orthopairs(universe: Universe) -> Iterator[Orthopair]:
+    from .orthopair import Orthopair
+
     for a, b in all_orthopair_masks(universe.size):
         yield Orthopair(ObjectSet(universe, a), ObjectSet(universe, b))
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from ._record import FrozenRecord
 
 
 class UniverseMismatchError(ValueError):
@@ -23,17 +24,17 @@ def _mask(indices: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(FrozenRecord):
     """Ordered finite set of named objects; the index of each name is stable."""
 
-    objects: tuple[str, ...]
+    __slots__ = ("objects", "__dict__")  # the dict holds the cached `_index`
 
-    def __post_init__(self) -> None:
-        if not self.objects:
+    def __init__(self, objects: tuple[str, ...]) -> None:
+        if not objects:
             raise ValueError("a universe needs at least one object")
-        if len(set(self.objects)) != len(self.objects):
+        if len(set(objects)) != len(objects):
             raise ValueError("object identifiers must be unique")
+        object.__setattr__(self, "objects", objects)
 
     @classmethod
     def of(cls, *names: str) -> "Universe":
@@ -76,16 +77,16 @@ class Universe:
         return ObjectSet(self, _mask(map(self.index, names), self.size))
 
 
-@dataclass(frozen=True)
-class ObjectSet:
+class ObjectSet(FrozenRecord):
     """Subset of a universe, stored as a bit mask over object indices."""
 
-    universe: Universe
-    bits: int
+    __slots__ = ("universe", "bits")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits <= self.universe.full_mask:
+    def __init__(self, universe: Universe, bits: int) -> None:
+        if not 0 <= bits <= universe.full_mask:
             raise ValueError("bit mask outside the universe range")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "bits", bits)
 
     def _check(self, other: "ObjectSet") -> None:
         if other.universe != self.universe:
@@ -134,25 +135,25 @@ class ObjectSet:
         return "{" + ", ".join(self) + "}"
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(FrozenRecord):
     """A universe together with an equivalence relation stored as partition blocks."""
 
-    universe: Universe
-    blocks: tuple[ObjectSet, ...]
+    __slots__ = ("universe", "blocks", "__dict__")  # the dict holds `block_index`
 
-    def __post_init__(self) -> None:
+    def __init__(self, universe: Universe, blocks: tuple[ObjectSet, ...]) -> None:
         covered = 0
-        for block in self.blocks:
-            if block.universe != self.universe:
+        for block in blocks:
+            if block.universe != universe:
                 raise UniverseMismatchError("partition block over a different universe")
             if block.bits == 0:
                 raise ValueError("empty partition block")
             if covered & block.bits:
                 raise ValueError("overlapping partition blocks")
             covered |= block.bits
-        if covered != self.universe.full_mask:
+        if covered != universe.full_mask:
             raise ValueError("partition blocks do not cover the universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_partition(

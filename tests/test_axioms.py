@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -232,7 +231,7 @@ def test_pointwise_axioms_never_apply_the_approximation():
     def refuse(p):
         raise AssertionError("approximation applied")
 
-    ops = replace(standard_ops(kb), pawlak=refuse)
+    ops = standard_ops(kb)._replace(pawlak=refuse)
     pairs = list(all_orthopair_masks(2))
     for axiom in AXIOMS.values():
         if axiom.pointwise:

@@ -1,3 +1,5 @@
+import ast
+import csv
 import hashlib
 import json
 import os
@@ -194,11 +196,14 @@ def test_a_token_in_two_sets_is_a_data_error(capsys, small_csv, options, sets, t
     )
 
 
-@pytest.mark.parametrize(
+TABLE_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["classify"], ["verify"], ["validate-logic", "--logic", "triage"]],
     ids=["classify", "verify", "validate-logic"],
 )
+
+
+@TABLE_COMMANDS
 def test_duplicate_column_name_is_a_data_error(capsys, tmp_path, argv):
     # under one name the second `a` would hide the first, and o1 and o2,
     # which differ in the first `a`, would share a block
@@ -206,6 +211,19 @@ def test_duplicate_column_name_is_a_data_error(capsys, tmp_path, argv):
     path.write_text("id,a,a,d\no1,x,p,yes\no2,y,p,no\n")
     code, out, err = run(capsys, *argv, "--input", str(path))
     assert (code, out, err) == (1, "", f"error: {path}: duplicate column name 'a'\n")
+
+
+@TABLE_COMMANDS
+def test_a_cell_over_the_csv_field_limit_is_a_data_error(capsys, tmp_path, argv):
+    # the csv module's default limit is 131,072 characters; it stays as it is
+    limit = csv.field_size_limit()
+    path = tmp_path / "wide.csv"
+    path.write_text("id,a,d\no1," + "x" * 200_000 + ",yes\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out, err) == (
+        1, "", f"error: {path}:2: field larger than field limit ({limit})\n"
+    )
+    assert csv.field_size_limit() == limit
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -415,22 +433,70 @@ def test_verify_budget_imports_no_numpy():
     assert done.stderr == "exit 2 numpy False"
 
 
-def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
-    script = (
-        "import sys\n"
-        "from pbzlogic.cli import main\n"
-        f"code = main(['classify', '--input', {str(demo_csv)!r}, '--format', 'json'])\n"
-        "sys.stderr.write(f'exit {code} axioms {\"pbzlogic.axioms\" in sys.modules}')\n"
-        "for name in ('orthopair', 'universe', 'sweep'):\n"
-        "    sys.stderr.write(f' {name} {\"pbzlogic.\" + name in sys.modules}')\n"
-    )
+def _fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh `python -S`, so that no site hook pre-loads
+    modules, with this checkout's pbzlogic on the path."""
     env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
         timeout=60,
     )
-    assert done.stderr == "exit 0 axioms False orthopair False universe False sweep False"
-    assert json.loads(done.stdout)["logic"] == "seven"
+
+
+def _loaded_by(argv: list[str]) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and the modules loaded of one CLI command run in a
+    fresh process."""
+    done = _fresh_python(
+        "import sys\n"
+        "from pbzlogic.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.stderr.write(repr((code, sorted(sys.modules))))\n"
+    )
+    code, modules = ast.literal_eval(done.stderr.splitlines()[-1])
+    return code, done.stdout, set(modules)
+
+
+def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
+    for logic in ("seven", "triage"):
+        code, out, loaded = _loaded_by(
+            ["classify", "--input", str(demo_csv), "--logic", logic, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["logic"] == logic
+        assert not loaded & {
+            "dataclasses", "pbzlogic.axioms", "pbzlogic.orthopair", "pbzlogic.universe",
+            "pbzlogic.sweep",
+        }
+
+
+def test_verify_input_loads_only_the_axiom_engine(demo_csv):
+    code, out, loaded = _loaded_by(["verify", "--input", str(demo_csv)])
+    assert (code, out) == (0, f"table {demo_csv}: PBZ-certified\n")
+    assert {m for m in loaded if m.startswith("pbzlogic")} == {
+        "pbzlogic", "pbzlogic._record", "pbzlogic.cli", "pbzlogic.universe",
+        "pbzlogic.sweep", "pbzlogic.axioms",
+    }
+    assert not loaded & {"dataclasses", "hashlib"}
+
+
+def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv):
+    code, out, loaded = _loaded_by(
+        ["validate-logic", "--logic", "triage", "--input", str(demo_csv)])
+    assert (code, out) == (0, "triage: valid (checked 729 concepts, exhaustive)\n")
+    assert "dataclasses" not in loaded
+
+
+def test_no_submodule_imports_dataclasses():
+    done = _fresh_python(
+        "import importlib, os, sys\n"
+        "import pbzlogic\n"
+        "names = sorted(f[:-3] for f in os.listdir(os.path.dirname(pbzlogic.__file__))\n"
+        "               if f.endswith('.py') and f != '__init__.py')\n"
+        "for name in names:\n"
+        "    importlib.import_module('pbzlogic.' + name)\n"
+        "from pbzlogic import *\n"
+        "sys.stderr.write(f'{len(names)} {\"dataclasses\" in sys.modules}')\n"
+    )
+    assert done.stderr == "8 False"
 
 
 @pytest.mark.parametrize(
