@@ -43,10 +43,9 @@ DEFAULT_NEGATIVE = ("0", "no", "false", "negative")
 DEFAULT_UNKNOWN = ("?", "unknown", "")
 
 
-# Synthetic sweeps enumerate every set partition (Bell(8) = 4,140 knowledge
-# bases) and, for validate-logic, 3^size concepts on each.
-MAX_VERIFY_SIZE = 8
-MAX_VALIDATE_SIZE = 6
+# Synthetic sweeps check one knowledge base per set partition of the
+# universe: Bell(8) = 4,140 of them.
+MAX_SYNTHETIC_SIZE = 8
 
 
 class DataError(ValueError):
@@ -487,14 +486,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render_exact_counts(report: dict) -> str:
-    """render_json for reports whose counts may exceed Python's default
+def _render_exact_counts(render: Callable[[dict], str], report: dict) -> str:
+    """`render(report)` for reports whose counts may exceed Python's default
     4,300-digit limit on int-to-str conversion: an exact verdict covers
-    |elements|^arity = 3^(|U| * arity) tuples."""
+    3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an axiom."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return render_json(report)
+        return render(report)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -511,7 +510,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from .sweep import default_universe
 
         sizes = [
-            _parse_size(s, "--sizes", MAX_VERIFY_SIZE)
+            _parse_size(s, "--sizes", MAX_SYNTHETIC_SIZE)
             for s in (args.sizes or "1,2,3,4").split(",")
         ]
         for size in sizes:
@@ -532,7 +531,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         sys.stdout.write(_render_exact_counts(
-            {"schema_version": SCHEMA_VERSION, "runs": results}))
+            render_json, {"schema_version": SCHEMA_VERSION, "runs": results}))
     else:
         for run in results:
             verdict = "PBZ-certified" if run["certified"] else "FAILED"
@@ -559,7 +558,7 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
     else:
         from .sweep import default_universe
 
-        size = _parse_size(str(args.size), "--size", MAX_VALIDATE_SIZE)
+        size = _parse_size(str(args.size), "--size", MAX_SYNTHETIC_SIZE)
         kbs = list(all_knowledge_bases(default_universe(size)))
     failed = False
     reports = []
@@ -567,27 +566,34 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
         result = validate_logic(kb, spec, budget=args.budget)
         failed = failed or result.status != "valid"
         reports.append(result.to_dict())
-    if args.format == "json":
-        sys.stdout.write(
-            render_json({"schema_version": SCHEMA_VERSION, "results": reports})
-        )
-    else:
-        for rep in reports:
-            sys.stdout.write(
-                f"{rep['logic']}: {rep['status']}"
-                f" (checked {rep['checked']} concepts"
-                f"{', exhaustive' if rep['exhaustive'] else ''})\n"
-            )
-            if "overlap" in rep:
-                sys.stdout.write(
-                    f"  overlap between {rep['overlap'][0]} and {rep['overlap'][1]}"
-                    f" on {rep['overlap'][2]}\n"
-                )
-            if "uncovered" in rep:
-                sys.stdout.write(f"  uncovered objects: {rep['uncovered']}\n")
-            if "witness" in rep:
-                sys.stdout.write(f"  witness concept: {rep['witness']}\n")
+    render = render_json if args.format == "json" else render_validation_text
+    sys.stdout.write(_render_exact_counts(
+        render, {"schema_version": SCHEMA_VERSION, "results": reports}))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def render_validation_text(report: dict) -> str:
+    """One verdict line per knowledge base, then the failure and witness of
+    an invalid one.  A valid verdict counts the concepts it covers, any
+    other the cases evaluated."""
+    lines = []
+    for rep in report["results"]:
+        unit = "concepts" if rep["status"] == "valid" else "cases"
+        lines.append(
+            f"{rep['logic']}: {rep['status']}"
+            f" (checked {rep['checked']} {unit}"
+            f"{', exhaustive' if rep['exhaustive'] else ''})"
+        )
+        if "overlap" in rep:
+            lines.append(
+                f"  overlap between {rep['overlap'][0]} and {rep['overlap'][1]}"
+                f" on {rep['overlap'][2]}"
+            )
+        if "uncovered" in rep:
+            lines.append(f"  uncovered objects: {rep['uncovered']}")
+        if "witness" in rep:
+            lines.append(f"  witness concept: {rep['witness']}")
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_list_logics(args: argparse.Namespace) -> int:
@@ -626,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the lattice axiom suite")
     _add_table_options(p, required=False)
     p.add_argument("--sizes",
-                   help=f"synthetic universe sizes from 1 to {MAX_VERIFY_SIZE},"
+                   help=f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
                    " e.g. 3,4 (default 1,2,3,4)")
     p.add_argument("--budget", type=int, default=None,
                    help="maximum cases evaluated per axiom; an axiom with"
@@ -639,10 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_options(p, required=False)
     p.add_argument("--logic", required=True, help="built-in logic name or spec file path")
     p.add_argument("--size", type=int, default=4,
-                   help=f"synthetic universe size from 1 to {MAX_VALIDATE_SIZE}"
-                   " when no input table is given")
+                   help=f"synthetic universe size from 1 to {MAX_SYNTHETIC_SIZE}"
+                   " when no input table is given: every set partition of it")
     p.add_argument("--budget", type=int, default=None,
-                   help="maximum concepts to check per knowledge base")
+                   help="maximum cases (realisable base values) evaluated per"
+                   " knowledge base; a logic with more cases and no failure"
+                   " among them is undecided")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate_logic)
 

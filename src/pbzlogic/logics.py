@@ -2,14 +2,50 @@
 
 A logic assigns each object one of n derived values.  Each derived value is
 defined by a union of upward aggregations, a union of downward
-aggregations, or the intersection of one union of each kind.  Validation
-checks that the derived values partition the universe for every concept.
+aggregations, or the intersection of one union of each kind.  A logic is
+valid on a knowledge base when its derived values partition the universe
+for every concept (orthopair).  `validate_logic` decides that from the
+logic's seven-entry `value_table` and the size of the largest block, by the
+argument below; `_validate_brute` enumerates every concept and stays as
+the oracle the tests compare against.
+
+Why the seven-value rule is exact
+---------------------------------
+
+1. Labels follow base values.  An object's derived values are the labels
+   `value_table()[v]` of its base value v (`ValueDef.members`).  So the
+   logic partitions U on a concept iff every base value that some object
+   takes on that concept has exactly one label.
+
+2. A block's value follows the regions it meets.  All objects of a block
+   share its base value, which depends only on which of the positive
+   region A, the negative region B and the boundary the block meets
+   (`sevenvalued._TRIPLE_TO_VALUE`).  Let need(v) be the number of regions
+   a block of value v meets: 1 for T, U and F, 2 for sT, K and sF, 3 for
+   fK.  A block of n objects can take value v iff n >= need(v): each
+   object lies in one region, so a block meets at most n of them, and with
+   n >= need(v) its first need(v) objects can go one into each region of
+   v and the rest into the first.
+
+3. Blocks are independent.  A concept places each object in a region with
+   no constraint across blocks, so the blocks take their values
+   independently.  A value v occurs on some concept iff some block can take
+   it, iff the largest block has at least need(v) objects.
+
+Hence the logic is valid iff every value v with need(v) <= the largest
+block has exactly one label.  These realisable values are the cases,
+evaluated in the fixed order T, U, F, sT, K, sF, fK.  The first case with
+no label or several is lifted to a witness concept: the construction of
+step 2 on the first smallest block that can take the value, with every
+object outside that block negative.  On that concept the block's objects
+have no single label, so the per-concept check that the enumerator runs
+finds the overlap or the uncovered objects.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
 from .sevenvalued import (
@@ -25,11 +61,6 @@ if TYPE_CHECKING:  # the mask layer is imported where it is used
     from .universe import KnowledgeBase, ObjectSet
 
 BASE_SYMBOLS = tuple(v.symbol for v in TruthValue)
-
-# Exhaustive validation is attempted while 3^|U| stays below this many
-# orthopairs; beyond it a randomized search for counterexamples runs.
-EXHAUSTIVE_LIMIT = 3**12
-SAMPLE_BUDGET = 100_000
 
 
 class ValueDef(FrozenRecord):
@@ -124,15 +155,18 @@ class LogicSpec(FrozenRecord):
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogicSpec":
-        values = tuple(
-            ValueDef(
-                label=entry["label"],
-                up=tuple(entry.get("up", ())),
-                down=tuple(entry.get("down", ())),
-            )
-            for entry in data["values"]
-        )
-        return cls(name=data["name"], values=values)
+        """The spec that `to_dict` describes.  Any other shape of JSON
+        value is a ValueError, or a KeyError for a missing key."""
+        _expect(data, dict, "a logic spec")
+        values = []
+        for entry in _expect(data["values"], list, "'values'"):
+            _expect(entry, dict, "a derived value")
+            values.append(ValueDef(
+                label=_expect(entry["label"], str, "a label"),
+                up=tuple(_expect(entry.get("up", []), list, "'up'")),
+                down=tuple(_expect(entry.get("down", []), list, "'down'")),
+            ))
+        return cls(name=_expect(data["name"], str, "a name"), values=tuple(values))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -140,6 +174,16 @@ class LogicSpec(FrozenRecord):
     @classmethod
     def from_json(cls, text: str) -> "LogicSpec":
         return cls.from_dict(json.loads(text))
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it is a `kind`, else a ValueError saying what it must be."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
 
 
 class LogicAssignment(FrozenRecord):
@@ -208,75 +252,101 @@ class LogicValidation(NamedTuple):
         return out
 
 
-def _sampled_orthopairs(kb: KnowledgeBase, budget: int, seed: int) -> Iterator[Orthopair]:
-    import random
+def _partition_failure(kb: KnowledgeBase, spec: LogicSpec, p: Orthopair) -> dict:
+    """How the derived values fail to partition U on concept p: the first
+    overlap between two of them, in spec order, else the uncovered objects,
+    as keyword arguments of a LogicValidation; empty when they partition U."""
+    assignment = evaluate_logic(kb, p, spec)
+    covered = kb.universe.empty()
+    for i, vdef in enumerate(spec.values):
+        s = assignment[vdef.label]
+        if (covered & s).bits:
+            for other in spec.values[:i]:
+                shared = assignment[other.label] & s
+                if shared.bits:
+                    return {"overlap": (other.label, vdef.label, shared)}
+        covered = covered | s
+    if covered.bits != kb.universe.full_mask:
+        return {"uncovered": ~covered}
+    return {}
 
+
+# The cases of `validate_logic` in evaluation order: each base value with
+# the regions that a block of that value meets, in the order in which a
+# witness block's first objects take them.
+_CASES = (
+    (TruthValue.TRUE, ("positive",)),
+    (TruthValue.UNKNOWN, ("boundary",)),
+    (TruthValue.FALSE, ("negative",)),
+    (TruthValue.SOMETIMES_TRUE, ("positive", "boundary")),
+    (TruthValue.CONTRADICTORY, ("positive", "negative")),
+    (TruthValue.SOMETIMES_FALSE, ("negative", "boundary")),
+    (TruthValue.FULLY_CONTRADICTORY, ("positive", "negative", "boundary")),
+)
+
+
+def _witness(kb: KnowledgeBase, regions: tuple[str, ...]) -> Orthopair:
+    """A concept on which the first smallest block of at least
+    len(regions) objects meets exactly `regions`: its first objects take
+    one region each, the rest the first one; every other object is negative."""
     from .orthopair import Orthopair
     from .universe import ObjectSet
 
-    rng = random.Random(seed)
-    universe = kb.universe
-    for _ in range(budget):
-        a = b = 0
-        for i in range(universe.size):
-            roll = rng.randrange(3)
-            if roll == 1:
-                a |= 1 << i
-            elif roll == 2:
-                b |= 1 << i
-        yield Orthopair(ObjectSet(universe, a), ObjectSet(universe, b))
+    block = min((b for b in kb.blocks if len(b) >= len(regions)), key=len)
+    masks = {"positive": 0, "negative": kb.universe.full_mask & ~block.bits, "boundary": 0}
+    rest, i = block.bits, 0
+    while rest:
+        low = rest & -rest  # the block's next object, in universe order
+        masks[regions[i] if i < len(regions) else regions[0]] |= low
+        rest ^= low
+        i += 1
+    return Orthopair(
+        ObjectSet(kb.universe, masks["positive"]), ObjectSet(kb.universe, masks["negative"])
+    )
 
 
 def validate_logic(
-    kb: KnowledgeBase,
-    spec: LogicSpec,
-    budget: int | None = None,
-    seed: int = 0,
+    kb: KnowledgeBase, spec: LogicSpec, budget: int | None = None
 ) -> LogicValidation:
-    """Check that the logic partitions U for every orthopair over kb.
+    """Decide whether the logic partitions U for every orthopair over kb.
 
-    Exhaustive while 3^|U| fits in the budget; otherwise a randomized
-    search that can only answer "invalid" or "undecided".  A budget below 1
-    is a ValueError.
+    Exact, by the rule in the module docstring: each base value the largest
+    block can take is a case, and the logic is valid iff each case has
+    exactly one label.  A valid logic reports the 3^|U| concepts the
+    verdict covers; an invalid one the cases evaluated, up to the first
+    failure, with its witness concept.  The budget truncates the case
+    order: with more cases than the budget and no failure among the first
+    `budget`, the verdict is undecided.  A budget below 1 is a ValueError.
     """
-    from .sweep import all_orthopairs
-
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
-    total = 3**kb.universe.size
-    limit = budget if budget is not None else max(EXHAUSTIVE_LIMIT, SAMPLE_BUDGET)
-    exhaustive = total <= limit
-    if exhaustive:
-        candidates: Iterator[Orthopair] = all_orthopairs(kb.universe)
-        planned = total
-    else:
-        planned = min(limit, SAMPLE_BUDGET) if budget is None else budget
-        candidates = _sampled_orthopairs(kb, planned, seed)
+    largest = max(map(len, kb.blocks))
+    cases = [(value, regions) for value, regions in _CASES if len(regions) <= largest]
+    labels_of = spec.value_table()
+    for checked, (value, regions) in enumerate(cases[:budget], 1):
+        if len(labels_of[value]) != 1:
+            p = _witness(kb, regions)
+            return LogicValidation(
+                spec.name, "invalid", checked, True,
+                witness=p, **_partition_failure(kb, spec, p),
+            )
+    if budget is not None and len(cases) > budget:
+        return LogicValidation(spec.name, "undecided", budget, False)
+    return LogicValidation(spec.name, "valid", 3**kb.universe.size, True)
+
+
+def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
+    """Check every one of the 3^|U| orthopairs over kb, in enumeration
+    order; the oracle of `validate_logic`."""
+    from .sweep import all_orthopairs
 
     checked = 0
-    for p in candidates:
+    for p in all_orthopairs(kb.universe):
         checked += 1
-        assignment = evaluate_logic(kb, p, spec)
-        covered = kb.universe.empty()
-        for i, vdef in enumerate(spec.values):
-            s = assignment[vdef.label]
-            clash = covered & s
-            if clash.bits:
-                for other in spec.values[:i]:
-                    shared = assignment[other.label] & s
-                    if shared.bits:
-                        return LogicValidation(
-                            spec.name, "invalid", checked, exhaustive,
-                            witness=p, overlap=(other.label, vdef.label, shared),
-                        )
-            covered = covered | s
-        if covered.bits != kb.universe.full_mask:
-            return LogicValidation(
-                spec.name, "invalid", checked, exhaustive,
-                witness=p, uncovered=~covered,
-            )
-    status = "valid" if exhaustive else "undecided"
-    return LogicValidation(spec.name, status, checked, exhaustive)
+        failure = _partition_failure(kb, spec, p)
+        if failure:
+            return LogicValidation(spec.name, "invalid", checked, True, witness=p, **failure)
+    return LogicValidation(spec.name, "valid", checked, True)
 
 
 def builtin_logics() -> tuple[LogicSpec, ...]:

@@ -381,15 +381,41 @@ def test_verify_size_seven_certifies(capsys):
         (["verify", "--sizes", "0"], "--sizes takes sizes from 1 to 8, got '0'"),
         (["verify", "--sizes", "1,,2"], "--sizes takes sizes from 1 to 8, got ''"),
         (["verify", "--sizes", "two"], "--sizes takes sizes from 1 to 8, got 'two'"),
-        (["validate-logic", "--logic", "belnap", "--size", "7"],
-         "--size takes sizes from 1 to 6, got '7'"),
+        (["validate-logic", "--logic", "belnap", "--size", "9"],
+         "--size takes sizes from 1 to 8, got '9'"),
         (["validate-logic", "--logic", "belnap", "--size", "0"],
-         "--size takes sizes from 1 to 6, got '0'"),
+         "--size takes sizes from 1 to 8, got '0'"),
     ],
 )
 def test_synthetic_sizes_are_bounded(capsys, argv, limit):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {limit}\n")
+
+
+def test_validate_logic_size_eight(capsys):
+    code, out, _ = run(capsys, "validate-logic", "--logic", "belnap", "--size", "8")
+    assert code == 0
+    line = "belnap: valid (checked 6561 concepts, exhaustive)\n"
+    assert out == line * 4140  # Bell(8) knowledge bases
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_logic_prints_counts_past_the_int_digit_limit(capsys, tmp_path, fmt):
+    # a valid verdict covers 3^9,100 concepts: 4,342 digits, past the 4,300
+    # that str() and json accept by default
+    path = _table(tmp_path, 9100, 3)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "validate-logic", "--logic", "triage",
+                       "--input", str(path), "--format", fmt)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "text":
+        count = re.fullmatch(r"triage: valid \(checked (\d+) concepts, exhaustive\)\n", out)[1]
+    else:
+        count = re.search(r'"checked": (\d+)', out)[1]
+        assert '"status": "valid"' in out
+    assert len(count) == 4342
+    assert int(count[-12:]) == pow(3, 9100, 10**12)
 
 
 def test_verify_mutation_fails(capsys):
@@ -482,7 +508,8 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv):
     code, out, loaded = _loaded_by(
         ["validate-logic", "--logic", "triage", "--input", str(demo_csv)])
     assert (code, out) == (0, "triage: valid (checked 729 concepts, exhaustive)\n")
-    assert "dataclasses" not in loaded
+    # the concept enumerator (`sweep`) is the test oracle only
+    assert not loaded & {"dataclasses", "pbzlogic.sweep"}
 
 
 def test_no_submodule_imports_dataclasses():
@@ -560,8 +587,12 @@ def test_validate_logic_invalid_spec_file(capsys, tmp_path):
         capsys, "validate-logic", "--logic", str(path), "--size", "2"
     )
     assert code == 2
-    assert "gappy: invalid" in out
-    assert "uncovered" in out
+    # on the one-block partition, U (the second case) has no label
+    assert out.startswith(
+        "gappy: invalid (checked 2 cases, exhaustive)\n"
+        "  uncovered objects: ['o1', 'o2']\n"
+        "  witness concept: {'positive': [], 'negative': []}\n"
+    )
 
 
 def test_validate_logic_rejects_seven(capsys):
@@ -576,6 +607,32 @@ def test_validate_logic_bad_spec_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate-logic", "--logic", str(path))
     assert code == 1
     assert "bad logic spec" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "x", "values": 5},
+        [1],
+        {"name": "x", "values": [5]},
+        {"name": "x", "values": [{"label": ["a"], "up": ["T"]}]},
+        {"name": "x", "values": [{"label": "a", "up": "sT"}]},
+        {"name": "x", "values": [{"label": "a", "up": ["T"], "down": "T"}]},
+        {"name": 3, "values": [{"label": "a", "up": ["T"]}]},
+    ],
+    ids=["values-number", "array", "value-number", "label-array", "up-string",
+         "down-string", "name-number"],
+)
+@pytest.mark.parametrize("command", ["classify", "validate-logic"])
+def test_malformed_spec_file_is_a_data_error(capsys, demo_csv, tmp_path, spec, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(
+        capsys, command, "--logic", str(path), "--input", str(demo_csv)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: bad logic spec: ")
+    assert " must be " in err
 
 
 def test_list_logics(capsys):

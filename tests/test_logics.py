@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from pbzlogic import (
+    KnowledgeBase,
     LogicSpec,
     Orthopair,
     TruthValue,
@@ -16,6 +19,8 @@ from pbzlogic import (
     evaluate_logic,
     validate_logic,
 )
+from pbzlogic.logics import _CASES, BASE_SYMBOLS, _validate_brute
+from pbzlogic.sevenvalued import _TRIPLE_TO_VALUE
 
 V = TruthValue
 
@@ -128,7 +133,7 @@ def test_builtins_are_valid(name, size):
 
 def test_coverage_failure_has_bottom_witness(six_kb):
     spec = LogicSpec("only-true", (ValueDef("yes", up=("T",)),))
-    result = validate_logic(six_kb, spec)
+    result = _validate_brute(six_kb, spec)
     assert result.status == "invalid"
     assert result.uncovered is not None
     # first concept in enumeration order is <empty, U>
@@ -155,10 +160,41 @@ def test_disjointness_failure(six_kb):
 
 
 def test_validation_undecided_under_tiny_budget(six_kb):
-    result = validate_logic(six_kb, builtin_logic("belnap"), budget=10)
+    # six_kb's largest block has 2 objects: 6 cases, T to sF
+    result = validate_logic(six_kb, builtin_logic("belnap"), budget=5)
     assert result.status == "undecided"
     assert not result.exhaustive
-    assert result.checked == 10
+    assert result.checked == 5
+    assert validate_logic(six_kb, builtin_logic("belnap"), budget=6).status == "valid"
+
+
+def test_case_regions_match_the_classifier():
+    # a block meeting exactly a case's regions takes the case's value
+    assert [value for value, _ in _CASES] == [V(s) for s in "T U F sT K sF fK".split()]
+    for value, regions in _CASES:
+        meets = tuple(r in regions for r in ("positive", "negative", "boundary"))
+        assert _TRIPLE_TO_VALUE[meets] is value
+
+
+# Belnap with K_B narrowed to fK: K, the fifth case, has no label.
+NO_K = LogicSpec("no-K", (
+    *builtin_logic("belnap").values[:2],
+    ValueDef("fK_B", up=("fK",), down=("fK",)),
+    builtin_logic("belnap").values[3],
+))
+
+
+def test_budget_truncates_the_case_order(six_kb):
+    assert validate_logic(six_kb, NO_K, budget=4) == (
+        "no-K", "undecided", 4, False, None, None, None
+    )
+    for budget in (5, 6, None):
+        result = validate_logic(six_kb, NO_K, budget=budget)
+        assert (result.status, result.checked, result.exhaustive) == ("invalid", 5, True)
+        assert set(result.uncovered) == {"o1", "o2"}
+    # with blocks of one object, K is not realisable
+    singletons = KnowledgeBase.from_block_ids(default_universe(3), [0, 1, 2])
+    assert validate_logic(singletons, NO_K).status == "valid"
 
 
 def test_validation_detects_corrupted_builtin(six_kb):
@@ -229,3 +265,52 @@ def test_part_and_belnap_information_loss(six_kb):
             )
             value = belnap_from_arguments(six_kb, p, name)
             assert seen.setdefault(key, value) == value
+
+
+def _random_spec(seed: int) -> LogicSpec:
+    """A spec of 1 to 4 derived values, each an up, a down or an up-and-down
+    definition over 1 to 3 base values."""
+    rng = random.Random(seed)
+    values = []
+    for i in range(rng.randint(1, 4)):
+        kind = rng.choice(("up", "down", "both"))
+        up = tuple(rng.sample(BASE_SYMBOLS, rng.randint(1, 3))) if kind != "down" else ()
+        down = tuple(rng.sample(BASE_SYMBOLS, rng.randint(1, 3))) if kind != "up" else ()
+        values.append(ValueDef(f"v{i}", up=up, down=down))
+    return LogicSpec(f"random-{seed}", tuple(values))
+
+
+RANDOM_SPECS = tuple(_random_spec(seed) for seed in range(40))
+
+
+@pytest.mark.parametrize(
+    "size, specs",
+    [
+        *((size, builtin_logics() + RANDOM_SPECS) for size in (1, 2, 3, 4)),
+        # diagnosis is belnap with other labels, so size 5 leaves it out
+        (5, tuple(builtin_logic(n) for n in ("treatment", "triage", "belnap"))
+         + (NO_K, OVERLAPPING) + RANDOM_SPECS[:8]),
+    ],
+    ids=["1", "2", "3", "4", "5"],
+)
+def test_rule_agrees_with_enumeration(size, specs):
+    statuses = set()
+    for kb in all_knowledge_bases(default_universe(size)):
+        for spec in specs:
+            result = validate_logic(kb, spec)
+            oracle = _validate_brute(kb, spec)
+            assert (result.status, result.exhaustive) == (oracle.status, True)
+            statuses.add(result.status)
+            if result.status == "valid":
+                assert result.checked == oracle.checked == 3**size
+                continue
+            assert 1 <= result.checked <= 7
+            # the witness fails: some objects have two labels, or none
+            assignment = evaluate_logic(kb, result.witness, spec)
+            if result.overlap is not None:
+                first, second, shared = result.overlap
+                assert shared.bits and shared <= assignment[first] & assignment[second]
+            else:
+                assert result.uncovered.bits
+                assert all(assignment.labels_of(name) == () for name in result.uncovered)
+    assert statuses == {"valid", "invalid"}
