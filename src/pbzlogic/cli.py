@@ -8,8 +8,8 @@ Subcommands:
 * ``validate-logic`` check a logic spec for disjointness and coverage
 * ``list-logics``    show the built-in logics
 
-Exit status: 0 on success, 1 on data and usage errors, 2 when an axiom or
-logic check fails or stays undecided.
+Exit status: 0 on success, 1 on data and usage errors and on a closed
+stdout, 2 when an axiom or logic check fails or stays undecided.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from array import array
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn, TextIO
 
 if TYPE_CHECKING:  # each command imports the modules it uses
     from .logics import LogicSpec, LogicValidation
@@ -42,6 +43,11 @@ DEFAULT_POSITIVE = ("1", "yes", "true", "positive")
 DEFAULT_NEGATIVE = ("0", "no", "false", "negative")
 DEFAULT_UNKNOWN = ("?", "unknown", "")
 
+
+# `load_table` decodes its input in pieces of at least this many bytes, and
+# the renderers write a report's objects this many at a time.
+DECODE_PIECE = 1 << 16
+RENDER_CHUNK = 512
 
 # Synthetic sweeps check one knowledge base per set partition of the
 # universe: Bell(8) = 4,140 of them.
@@ -158,6 +164,38 @@ def _numbered_rows(reader, path: str | Path) -> Iterator[tuple[int, list[str]]]:
         raise DataError(f"{path}:{start}: {exc}") from exc
 
 
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of `data` in hex, from the interpreter's own SHA-256
+    module: `hashlib` would map OpenSSL's libcrypto for this one digest."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _decoded_pieces(data: bytes) -> Iterator[str]:
+    """`data` decoded as UTF-8 in pieces of at least `DECODE_PIECE` bytes,
+    each ending just after a b"\\n" (or at the end), so that no piece splits
+    a line, a \\r\\n or a UTF-8 sequence and no copy of the whole text is
+    made.  A UnicodeDecodeError counts its position from the start of
+    `data`, as decoding the whole of it would."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + DECODE_PIECE - 1) + 1 or len(data)
+        try:
+            piece = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(
+                exc.encoding, data, start + exc.start, start + exc.end, exc.reason
+            ) from None
+        yield piece
+        start = end
+
+
 def load_table(
     path: str | Path, config: TableConfig | None = None, data: bytes | None = None
 ) -> Table:
@@ -169,17 +207,31 @@ def load_table(
     decision's bit into its block's flag; no list of rows is kept.  `data`
     is the file's content when the caller has read it already (to hash
     exactly the bytes parsed); otherwise the file at `path` is read.  A
-    DataError about a row cites the line on which the row starts.
+    DataError about a row cites the line on which the row starts.  The
+    content is decoded piece by piece, but a decode error anywhere in it
+    is reported before any DataError, as when it was decoded whole.
     """
     config = config or TableConfig()
     flag_of = _token_flags(config)
     if data is None:
         data = Path(path).read_bytes()
+    pieces = _decoded_pieces(data)
     # csv.reader takes \r\n and a lone \r as line ends, as reading in text
     # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
     # stays in the (unused) id column name.
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    rows = _numbered_rows(reader, path)
+    reader = csv.reader(itertools.chain.from_iterable(
+        io.StringIO(piece, newline="") for piece in pieces))
+    try:
+        return _read_table(_numbered_rows(reader, path), path, config, flag_of)
+    except DataError:
+        for _ in pieces:  # raises on the first undecodable byte left
+            pass
+        raise
+
+
+def _read_table(rows: Iterator[tuple[int, list[str]]], path: str | Path,
+                config: TableConfig, flag_of: dict[str, int]) -> Table:
+    """The `Table` of `load_table`, from the numbered rows of its file."""
     header_row = next(rows, None)
     first_row = next(rows, None)
     if first_row is None:
@@ -396,21 +448,23 @@ class ObjectRows(list):
         return repr(list(self))
 
 
-def render_json(report: dict) -> str:
-    """`json.dumps(report, indent=2, sort_keys=True)` and a newline.
+def render_json(report: dict, out: TextIO) -> None:
+    """Write `json.dumps(report, indent=2, sort_keys=True)` and a newline.
 
     With indentation `json.dumps` runs the pure-Python encoder, so the
     `objects` of a classification report (an `ObjectRows`) is rendered
     apart: each distinct (derived, seven) pair is encoded once, and each
     object adds only its escaped id (the C `encode_basestring_ascii`, which
-    `json.dumps` uses too) between its block's two fragments.  The text
-    goes where the rest of the report, rendered with an empty list, holds
-    `"objects": []`; no string value can hold that line, since `json.dumps`
-    escapes line breaks in strings.
+    `json.dumps` uses too) between its block's two fragments, written
+    `RENDER_CHUNK` objects at a time.  The objects go where the rest of
+    the report, rendered with an empty list, holds `"objects": []`; no
+    string value can hold that line, since `json.dumps` escapes line
+    breaks in strings.
     """
     rows = report.get("objects")
     if not isinstance(rows, ObjectRows) or not rows:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
     rest = json.dumps({**report, "objects": []}, indent=2, sort_keys=True)
     head, tail = rest.split('\n  "objects": []')
     escape = encode_basestring_ascii
@@ -423,24 +477,32 @@ def render_json(report: dict) -> str:
         for derived, seven in set(pairs)
     }
     before, after = zip(*map(fragments.get, pairs))
-    body = ",\n".join([
-        before[b] + oid + after[b] for oid, b in zip(map(escape, rows.ids), rows.block_ids)
-    ])
-    return f'{head}\n  "objects": [\n{body}\n  ]{tail}\n'
+    out.write(f'{head}\n  "objects": [\n')
+    ids, block_ids = rows.ids, rows.block_ids
+    for i in range(0, len(ids), RENDER_CHUNK):
+        j = i + RENDER_CHUNK
+        out.write((",\n" if i else "") + ",\n".join([
+            before[b] + oid + after[b] for oid, b in zip(map(escape, ids[i:j]), block_ids[i:j])
+        ]))
+    out.write(f'\n  ]{tail}\n')
 
 
-def render_classification_text(report: dict) -> str:
+def render_classification_text(report: dict, out: TextIO) -> None:
+    """Write one line per object under a header, `RENDER_CHUNK` objects at
+    a time, then the seven and derived counts."""
     rows = report["objects"]
-    width = max(6, max(map(len, rows.ids))) + 2
-    suffix = [f"{seven:<7}{derived}" for seven, derived in zip(rows.seven, rows.derived)]
-    lines = [f"logic: {report['logic']}", f"{'object':<{width}}{'seven':<7}derived"]
-    lines += [oid.ljust(width) + suffix[b] for oid, b in zip(rows.ids, rows.block_ids)]
+    ids, block_ids = rows.ids, rows.block_ids
+    width = max(6, max(map(len, ids))) + 2
+    suffix = [f"{seven:<7}{derived}\n" for seven, derived in zip(rows.seven, rows.derived)]
+    out.write(f"logic: {report['logic']}\n{'object':<{width}}{'seven':<7}derived\n")
+    for i in range(0, len(ids), RENDER_CHUNK):
+        j = i + RENDER_CHUNK
+        out.write("".join([
+            oid.ljust(width) + suffix[b] for oid, b in zip(ids[i:j], block_ids[i:j])
+        ]))
     for kind in ("seven", "derived"):
         counts = report["summary"][kind]
-        lines.append(
-            f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in counts.items())
-        )
-    return "\n".join(lines) + "\n"
+        out.write(f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in counts.items()) + "\n")
 
 
 def _table_config(args: argparse.Namespace) -> TableConfig:
@@ -470,30 +532,27 @@ def _add_table_options(sub: argparse.ArgumentParser, required: bool) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    import hashlib
-
     config = _table_config(args)
     data = Path(args.input).read_bytes()
     table = load_table(args.input, config, data)
+    input_sha256 = sha256_hex(data)
+    del data  # not held while rendering
     spec = _resolve_logic(args.logic)
-    report = build_classification_report(
-        table, spec, hashlib.sha256(data).hexdigest(), config.echo()
-    )
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(render_classification_text(report))
+    report = build_classification_report(table, spec, input_sha256, config.echo())
+    render = render_json if args.format == "json" else render_classification_text
+    render(report, sys.stdout)
     return EXIT_OK
 
 
-def _render_exact_counts(render: Callable[[dict], str], report: dict) -> str:
-    """`render(report)` for reports whose counts may exceed Python's default
-    4,300-digit limit on int-to-str conversion: an exact verdict covers
-    3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an axiom."""
+def _render_exact_counts(render: Callable[[dict, TextIO], None], report: dict) -> None:
+    """`render(report, sys.stdout)` for reports whose counts may exceed
+    Python's default 4,300-digit limit on int-to-str conversion: an exact
+    verdict covers 3^|U| concepts of a logic, or 3^(|U| * arity) tuples of
+    an axiom."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return render(report)
+        render(report, sys.stdout)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -530,8 +589,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "axioms": [r.to_dict() for r in reports]})
 
     if args.format == "json":
-        sys.stdout.write(_render_exact_counts(
-            render_json, {"schema_version": SCHEMA_VERSION, "runs": results}))
+        _render_exact_counts(render_json, {"schema_version": SCHEMA_VERSION, "runs": results})
     else:
         for run in results:
             verdict = "PBZ-certified" if run["certified"] else "FAILED"
@@ -567,12 +625,11 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
         failed = failed or result.status != "valid"
         reports.append(result.to_dict())
     render = render_json if args.format == "json" else render_validation_text
-    sys.stdout.write(_render_exact_counts(
-        render, {"schema_version": SCHEMA_VERSION, "results": reports}))
+    _render_exact_counts(render, {"schema_version": SCHEMA_VERSION, "results": reports})
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def render_validation_text(report: dict) -> str:
+def render_validation_text(report: dict, out: TextIO) -> None:
     """One verdict line per knowledge base, then the failure and witness of
     an invalid one.  A valid verdict counts the concepts it covers, any
     other the cases evaluated."""
@@ -593,7 +650,7 @@ def render_validation_text(report: dict) -> str:
             lines.append(f"  uncovered objects: {rep['uncovered']}")
         if "witness" in rep:
             lines.append(f"  witness concept: {rep['witness']}")
-    return "".join(line + "\n" for line in lines)
+    out.write("".join(line + "\n" for line in lines))
 
 
 def cmd_list_logics(args: argparse.Namespace) -> int:
@@ -663,8 +720,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (OSError, ValueError) as exc:  # DataError is a ValueError
+        if isinstance(exc, BrokenPipeError):
+            # The reader of stdout is gone: point it at /dev/null, so that
+            # the flush at exit cannot fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_ERROR
 

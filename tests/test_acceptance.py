@@ -6,6 +6,7 @@ over each universe (up to 81 per knowledge base).
 """
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -179,6 +180,8 @@ def test_acceptance_8_cli_determinism_and_round_trip(capsys):
         load_table(DEMO_CSV), builtin_logic("triage"),
         parsed["provenance"]["input_sha256"], parsed["provenance"]["config"],
     )
-    ok = ok and parsed == json.loads(render_json(in_memory))
+    rendered = io.StringIO()
+    render_json(in_memory, rendered)
+    ok = ok and parsed == json.loads(rendered.getvalue())
     ok = ok and json.dumps(parsed, indent=2, sort_keys=True) + "\n" == first
     _verdict(8, "CLI reports are deterministic and round-trip", ok)

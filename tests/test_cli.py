@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,10 @@ import pytest
 
 import pbzlogic
 from pbzlogic import LogicSpec, ValueDef
-from pbzlogic.cli import main
+from pbzlogic.cli import main, sha256_hex
+
+# `sha256_hex` falls back on hashlib only without both of these modules.
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
 def run(capsys, *argv):
@@ -492,6 +496,48 @@ def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
             "dataclasses", "pbzlogic.axioms", "pbzlogic.orthopair", "pbzlogic.universe",
             "pbzlogic.sweep",
         }
+        if BUILTIN_SHA256:
+            assert not loaded & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 65_537])
+def test_sha256_hex_equals_hashlib(size):
+    data = bytes(range(251)) * (size // 251) + bytes(range(size % 251))
+    assert len(data) == size
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("rows, head", [(6, None), (20_000, None), (20_000, 100)])
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1(tmp_path, rows, head, unbuffered):
+    """A classify whose stdout loses its reader, from the start (`head` is
+    None) or after `head` bytes, reports the broken pipe once and exits 1,
+    whether the error comes from a write or from the last flush."""
+    path = tmp_path / "table.csv"
+    path.write_text("id,a,d\n" + "".join(f"o{i},v{i % 7},{i % 2}\n" for i in range(rows)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pbzlogic.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "pbzlogic.cli", "classify", "--input", str(path),
+            "--format", "json"]
+    if head is None:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        code, err = done.returncode, done.stderr
+    else:  # as `classify ... | head -c 100`: the output is far over a pipe's buffer
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_verify_input_loads_only_the_axiom_engine(demo_csv):

@@ -1,5 +1,6 @@
 """`render_json` splices a classification report's objects from per-value
-fragments; it must print exactly what `json.dumps` prints."""
+fragments, written in chunks; it must print exactly what `json.dumps`
+prints."""
 
 import csv
 import io
@@ -8,7 +9,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbzlogic import LogicSpec, builtin_logic, builtin_logics
+from pbzlogic import LogicSpec, builtin_logic, builtin_logics, cli
 from pbzlogic.cli import (
     TableConfig,
     build_classification_report,
@@ -37,6 +38,17 @@ def _escaped_triage() -> LogicSpec:
 LOGICS = [None, *builtin_logics(), _escaped_triage()]
 
 
+def written(render, report: dict, chunk: int = cli.RENDER_CHUNK) -> str:
+    """What `render(report, out)` writes, `chunk` objects at a time."""
+    out = io.StringIO()
+    saved, cli.RENDER_CHUNK = cli.RENDER_CHUNK, chunk
+    try:
+        render(report, out)
+    finally:
+        cli.RENDER_CHUNK = saved
+    return out.getvalue()
+
+
 @st.composite
 def tables(draw) -> bytes:
     """A decision table of 1-12 rows whose ids are drawn from TEXT."""
@@ -51,17 +63,19 @@ def tables(draw) -> bytes:
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=tables(), logic=st.sampled_from(LOGICS))
-def test_render_json_equals_json_dumps(data, logic):
+@given(data=tables(), logic=st.sampled_from(LOGICS), chunk=st.integers(1, 13))
+def test_render_json_equals_json_dumps(data, logic, chunk):
     config = TableConfig()
     table = load_table("table.csv", config, data)
     report = build_classification_report(table, logic, "0" * 64, config.echo())
-    assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert written(render_json, report, chunk) == (
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    )
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=tables(), logic=st.sampled_from(LOGICS))
-def test_render_text_formats_each_entry(data, logic):
+@given(data=tables(), logic=st.sampled_from(LOGICS), chunk=st.integers(1, 13))
+def test_render_text_formats_each_entry(data, logic, chunk):
     config = TableConfig()
     report = build_classification_report(
         load_table("table.csv", config, data), logic, "0" * 64, config.echo()
@@ -74,9 +88,9 @@ def test_render_text_formats_each_entry(data, logic):
         f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in report["summary"][kind].items())
         for kind in ("seven", "derived")
     ]
-    assert render_classification_text(report) == "\n".join(lines) + "\n"
+    assert written(render_classification_text, report, chunk) == "\n".join(lines) + "\n"
 
 
 def test_render_json_without_objects_equals_json_dumps():
     for report in ({"runs": [], "schema_version": 1}, {"objects": [], "x": '"objects": []'}):
-        assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert written(render_json, report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
