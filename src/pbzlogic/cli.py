@@ -26,11 +26,12 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, TextIO
+
+from .sevenvalued import BOUNDARY, BY_FLAG, NEGATIVE, POSITIVE, TruthValue
 
 if TYPE_CHECKING:  # each command imports the modules it uses
     from .logics import LogicSpec, LogicValidation
-    from .sevenvalued import TruthValue
     from .universe import KnowledgeBase, Universe
 
 SCHEMA_VERSION = 1
@@ -75,11 +76,6 @@ class TableConfig(NamedTuple):
         }
 
 
-# Bits of a block's flag: its rows' decisions meet the positive region A,
-# the negative region B, the boundary.
-MEETS_A, MEETS_B, MEETS_BOUNDARY = 1, 2, 4
-
-
 class Table(NamedTuple):
     """A decision table reduced to what its seven-valued classification needs.
 
@@ -87,8 +83,8 @@ class Table(NamedTuple):
     share a block, and blocks are numbered in order of their first row.  A
     block's seven value depends only on which of the positive region, the
     negative region and the boundary its rows' decisions meet, so each block
-    keeps one 3-bit flag of `MEETS_A`, `MEETS_B` and `MEETS_BOUNDARY`
-    instead of a |U|-bit mask.  All of it is linear in the rows.
+    keeps one 3-bit region flag (`sevenvalued.POSITIVE`, `NEGATIVE` and
+    `BOUNDARY`) instead of a |U|-bit mask.  All of it is linear in the rows.
     """
 
     objects: list[str]  # the object id of each row
@@ -99,7 +95,7 @@ class Table(NamedTuple):
 
     def block_values(self) -> list[TruthValue]:
         """The seven value of each block, in block order, from its flag."""
-        return [_value_of_flag(flag) for flag in self.flags]
+        return [BY_FLAG[flag] for flag in self.flags]
 
     def knowledge_base(self) -> KnowledgeBase:
         """The table's partition in the mask layer, for `verify` and
@@ -109,24 +105,15 @@ class Table(NamedTuple):
         return KnowledgeBase.from_block_ids(Universe(tuple(self.objects)), self.block_ids)
 
 
-def _value_of_flag(flag: int) -> TruthValue:
-    """The seven value of a block with this flag."""
-    from .sevenvalued import _TRIPLE_TO_VALUE
-
-    return _TRIPLE_TO_VALUE[
-        (flag & MEETS_A != 0, flag & MEETS_B != 0, flag & MEETS_BOUNDARY != 0)
-    ]
-
-
 def _token_flags(config: TableConfig) -> dict[str, int]:
     """The flag bit of each lowercased decision token; a token in two of
     the three sets is a DataError."""
     flag_of: dict[str, int] = {}
-    kind = {MEETS_A: "positive", MEETS_B: "negative", MEETS_BOUNDARY: "unknown"}
+    kind = {POSITIVE: "positive", NEGATIVE: "negative", BOUNDARY: "unknown"}
     for flag, tokens in (
-        (MEETS_A, config.positive_tokens),
-        (MEETS_B, config.negative_tokens),
-        (MEETS_BOUNDARY, config.unknown_tokens),
+        (POSITIVE, config.positive_tokens),
+        (NEGATIVE, config.negative_tokens),
+        (BOUNDARY, config.unknown_tokens),
     ):
         for token in sorted({t.lower() for t in tokens}):
             if token in flag_of:
@@ -367,7 +354,6 @@ def build_classification_report(
     the first object in row order that has no single label.
     """
     from .logics import single_label
-    from .sevenvalued import TruthValue
 
     if spec is None:
         labels_of = {v: (v.symbol,) for v in TruthValue}
@@ -382,10 +368,10 @@ def build_classification_report(
     rows_of = [0] * 8
     for first, flag, size in zip(table.firsts, table.flags, table.block_sizes):
         if flag not in label_of:
-            labels = labels_of[_value_of_flag(flag)]
+            labels = labels_of[BY_FLAG[flag]]
             label_of[flag] = single_label(table.objects[first], labels)
         rows_of[flag] += size
-    symbol_of = {flag: _value_of_flag(flag).symbol for flag in label_of}
+    symbol_of = {flag: BY_FLAG[flag].symbol for flag in label_of}
 
     seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
     derived_counts = dict.fromkeys(derived_order, 0)
@@ -506,13 +492,13 @@ def render_classification_text(report: dict, out: TextIO) -> None:
 
 
 def _table_config(args: argparse.Namespace) -> TableConfig:
-    def tokens(value: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
+    def tokens(value: str | None, default: tuple[str, ...] | None) -> tuple[str, ...] | None:
         if value is None:
             return default
         return tuple(t.strip() for t in value.split(","))
 
     return TableConfig(
-        attributes=tuple(args.attributes.split(",")) if args.attributes else None,
+        attributes=tokens(args.attributes, None) if args.attributes else None,
         decision_column=args.decision_column,
         positive_tokens=tokens(args.positive_tokens, DEFAULT_POSITIVE),
         negative_tokens=tokens(args.negative_tokens, DEFAULT_NEGATIVE),
@@ -561,10 +547,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import axioms  # here, so that the other commands never load the engine
 
     budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
-    runs: list[tuple[str, KnowledgeBase]] = []
+    runs: Iterable[tuple[str, KnowledgeBase]]
     if args.input:
         kb = load_table(args.input, _table_config(args)).knowledge_base()
-        runs.append((f"table {args.input}", kb))
+        runs = [(f"table {args.input}", kb)]
     else:
         from .sweep import default_universe
 
@@ -572,9 +558,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _parse_size(s, "--sizes", MAX_SYNTHETIC_SIZE)
             for s in (args.sizes or "1,2,3,4").split(",")
         ]
-        for size in sizes:
-            for i, kb in enumerate(all_knowledge_bases(default_universe(size))):
-                runs.append((f"size {size} partition {i}", kb))
+        runs = (  # one knowledge base at a time
+            (f"size {size} partition {i}", kb)
+            for size in sizes
+            for i, kb in enumerate(all_knowledge_bases(default_universe(size)))
+        )
 
     results = []
     failed = False
@@ -610,14 +598,14 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
     spec = _resolve_logic(args.logic)
     if spec is None:
         raise DataError("the base seven-valued assignment needs no validation")
-    kbs: list[KnowledgeBase]
+    kbs: Iterable[KnowledgeBase]
     if args.input:
         kbs = [load_table(args.input, _table_config(args)).knowledge_base()]
     else:
         from .sweep import default_universe
 
         size = _parse_size(str(args.size), "--size", MAX_SYNTHETIC_SIZE)
-        kbs = list(all_knowledge_bases(default_universe(size)))
+        kbs = all_knowledge_bases(default_universe(size))  # one at a time
     failed = False
     reports = []
     for kb in kbs:

@@ -19,9 +19,10 @@ Why the seven-value rule is exact
 
 2. A block's value follows the regions it meets.  All objects of a block
    share its base value, which depends only on which of the positive
-   region A, the negative region B and the boundary the block meets
-   (`sevenvalued._TRIPLE_TO_VALUE`).  Let need(v) be the number of regions
-   a block of value v meets: 1 for T, U and F, 2 for sT, K and sF, 3 for
+   region A, the negative region B and the boundary the block meets: the
+   value whose region flag (`TruthValue.flag`) has exactly those bits.
+   Let need(v) be the number of regions a block of value v meets, the
+   popcount of v's flag: 1 for T, U and F, 2 for sT, K and sF, 3 for
    fK.  A block of n objects can take value v iff n >= need(v): each
    object lies in one region, so a block meets at most n of them, and with
    n >= need(v) its first need(v) objects can go one into each region of
@@ -34,12 +35,13 @@ Why the seven-value rule is exact
 
 Hence the logic is valid iff every value v with need(v) <= the largest
 block has exactly one label.  These realisable values are the cases,
-evaluated in the fixed order T, U, F, sT, K, sF, fK.  The first case with
-no label or several is lifted to a witness concept: the construction of
-step 2 on the first smallest block that can take the value, with every
-object outside that block negative.  On that concept the block's objects
-have no single label, so the per-concept check that the enumerator runs
-finds the overlap or the uncovered objects.
+evaluated in the fixed order T, U, F, sT, K, sF, fK: by need(v), ties in
+the order of `TruthValue`.  The first case with no label or several is
+lifted to a witness concept: the construction of step 2 on the first
+smallest block that can take the value, with every object outside that
+block negative.  On that concept the block's objects have no single
+label, so the per-concept check that the enumerator runs finds the
+overlap or the uncovered objects.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import FrozenRecord
 from .sevenvalued import (
+    BOUNDARY,
     DOWNWARD_MEMBERS,
+    NEGATIVE,
+    POSITIVE,
     UPWARD_MEMBERS,
     TruthValue,
     downward_part,
@@ -271,29 +276,22 @@ def _partition_failure(kb: KnowledgeBase, spec: LogicSpec, p: Orthopair) -> dict
     return {}
 
 
-# The cases of `validate_logic` in evaluation order: each base value with
-# the regions that a block of that value meets, in the order in which a
-# witness block's first objects take them.
-_CASES = (
-    (TruthValue.TRUE, ("positive",)),
-    (TruthValue.UNKNOWN, ("boundary",)),
-    (TruthValue.FALSE, ("negative",)),
-    (TruthValue.SOMETIMES_TRUE, ("positive", "boundary")),
-    (TruthValue.CONTRADICTORY, ("positive", "negative")),
-    (TruthValue.SOMETIMES_FALSE, ("negative", "boundary")),
-    (TruthValue.FULLY_CONTRADICTORY, ("positive", "negative", "boundary")),
-)
+# The cases of `validate_logic`, in evaluation order: by need(v), the
+# popcount of the value's region flag.
+_CASE_ORDER = tuple(sorted(TruthValue, key=lambda v: v.flag.bit_count()))
 
 
-def _witness(kb: KnowledgeBase, regions: tuple[str, ...]) -> Orthopair:
-    """A concept on which the first smallest block of at least
-    len(regions) objects meets exactly `regions`: its first objects take
-    one region each, the rest the first one; every other object is negative."""
+def _witness(kb: KnowledgeBase, value: TruthValue) -> Orthopair:
+    """A concept on which the first smallest block that can take `value`
+    takes it: the block's first objects go one into each region of the
+    value, in the order positive, negative, boundary, and the rest into the
+    first of them; every other object is negative."""
     from .orthopair import Orthopair
     from .universe import ObjectSet
 
+    regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
     block = min((b for b in kb.blocks if len(b) >= len(regions)), key=len)
-    masks = {"positive": 0, "negative": kb.universe.full_mask & ~block.bits, "boundary": 0}
+    masks = {POSITIVE: 0, NEGATIVE: kb.universe.full_mask & ~block.bits, BOUNDARY: 0}
     rest, i = block.bits, 0
     while rest:
         low = rest & -rest  # the block's next object, in universe order
@@ -301,7 +299,7 @@ def _witness(kb: KnowledgeBase, regions: tuple[str, ...]) -> Orthopair:
         rest ^= low
         i += 1
     return Orthopair(
-        ObjectSet(kb.universe, masks["positive"]), ObjectSet(kb.universe, masks["negative"])
+        ObjectSet(kb.universe, masks[POSITIVE]), ObjectSet(kb.universe, masks[NEGATIVE])
     )
 
 
@@ -321,11 +319,11 @@ def validate_logic(
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
     largest = max(map(len, kb.blocks))
-    cases = [(value, regions) for value, regions in _CASES if len(regions) <= largest]
+    cases = [value for value in _CASE_ORDER if value.flag.bit_count() <= largest]
     labels_of = spec.value_table()
-    for checked, (value, regions) in enumerate(cases[:budget], 1):
+    for checked, value in enumerate(cases[:budget], 1):
         if len(labels_of[value]) != 1:
-            p = _witness(kb, regions)
+            p = _witness(kb, value)
             return LogicValidation(
                 spec.name, "invalid", checked, True,
                 witness=p, **_partition_failure(kb, spec, p),

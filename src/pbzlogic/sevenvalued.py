@@ -1,14 +1,24 @@
 """Seven truth parts of a concept, per-object classification, and aggregations.
 
-Each object of the universe falls into exactly one of seven parts of a
-concept, according to how its equivalence class meets the positive region,
-the negative region and the boundary.  Every part can be computed three
-ways: directly from the blocks (classwise), from rough-approximation
-formulas, or by evaluating a lattice operator term; the three must agree.
+A concept (orthopair) splits the universe into three regions: the positive
+region A, the negative region B and the boundary.  Each object of the
+universe falls into exactly one of seven parts of the concept, according to
+which of the three regions its equivalence class meets.  A class meets at
+least one region, so its value is one of the 2^3 - 1 = 7 nonempty sets of
+regions: the paper's "magical number seven".  Each `TruthValue` carries
+that set as its 3-bit region `flag`, and everything else about the values
+here (the classification, the mirror, the upward member sets) is derived
+from the flag.  The abstract's correspondence with the Jaina reasoning
+system plausibly reads its seven predications as these seven combinations
+of three.
+
+Every part can be computed three ways: directly from the blocks
+(classwise), from rough-approximation formulas, or by evaluating a lattice
+operator term; the three must agree.
 
 The mask layer (`universe`, `orthopair`) is imported where it is used, so
-that the `classify` command, which needs only `TruthValue` and
-`_TRIPLE_TO_VALUE`, never loads it.
+that the `classify` command, which needs only `TruthValue` and the region
+bits, never loads it.
 """
 
 from __future__ import annotations
@@ -22,15 +32,28 @@ if TYPE_CHECKING:
     from .orthopair import Orthopair
     from .universe import KnowledgeBase, ObjectSet
 
+# The bits of a region flag: a block meets the positive region A, the
+# negative region B, the boundary.
+POSITIVE, NEGATIVE, BOUNDARY = 1, 2, 4
+
 
 class TruthValue(Enum):
-    TRUE = "T"
-    SOMETIMES_TRUE = "sT"
-    UNKNOWN = "U"
-    CONTRADICTORY = "K"
-    FULLY_CONTRADICTORY = "fK"
-    SOMETIMES_FALSE = "sF"
-    FALSE = "F"
+    """A base truth value: its symbol, and the flag of the regions met by a
+    block that takes it."""
+
+    TRUE = "T", POSITIVE
+    SOMETIMES_TRUE = "sT", POSITIVE | BOUNDARY
+    UNKNOWN = "U", BOUNDARY
+    CONTRADICTORY = "K", POSITIVE | NEGATIVE
+    FULLY_CONTRADICTORY = "fK", POSITIVE | NEGATIVE | BOUNDARY
+    SOMETIMES_FALSE = "sF", NEGATIVE | BOUNDARY
+    FALSE = "F", NEGATIVE
+
+    def __new__(cls, symbol: str, flag: int) -> "TruthValue":
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.flag = flag
+        return member
 
     @property
     def symbol(self) -> str:
@@ -41,21 +64,16 @@ class TruthValue(Enum):
         return cls(symbol)
 
     def mirror(self) -> "TruthValue":
-        """Swap true-side and false-side values; U, K, fK are self-mirrored."""
-        return _MIRROR[self]
+        """Swap true-side and false-side values (the A and B bits); U, K,
+        fK are self-mirrored."""
+        flag = self.flag
+        return BY_FLAG[flag & BOUNDARY | (flag & POSITIVE) << 1 | (flag & NEGATIVE) >> 1]
 
+
+# The value of each flag: the one nonempty set of regions it names.
+BY_FLAG: dict[int, TruthValue] = {v.flag: v for v in TruthValue}
 
 _V = TruthValue
-
-_MIRROR = {
-    _V.TRUE: _V.FALSE,
-    _V.SOMETIMES_TRUE: _V.SOMETIMES_FALSE,
-    _V.UNKNOWN: _V.UNKNOWN,
-    _V.CONTRADICTORY: _V.CONTRADICTORY,
-    _V.FULLY_CONTRADICTORY: _V.FULLY_CONTRADICTORY,
-    _V.SOMETIMES_FALSE: _V.SOMETIMES_TRUE,
-    _V.FALSE: _V.TRUE,
-}
 
 # Rank in the truth-value order; U, K and fK share a rank and are
 # pairwise incomparable.  Only the order needed by the aggregations is
@@ -80,20 +98,7 @@ FORMULATIONS = ("classwise", "approximation", "lattice")
 
 # Base parts aggregated by each upward / downward value.
 UPWARD_MEMBERS: dict[TruthValue, tuple[TruthValue, ...]] = {
-    _V.TRUE: (_V.TRUE,),
-    _V.SOMETIMES_TRUE: (_V.TRUE, _V.SOMETIMES_TRUE),
-    _V.UNKNOWN: (_V.TRUE, _V.SOMETIMES_TRUE, _V.UNKNOWN),
-    _V.CONTRADICTORY: (_V.TRUE, _V.SOMETIMES_TRUE, _V.CONTRADICTORY),
-    _V.FULLY_CONTRADICTORY: (_V.TRUE, _V.SOMETIMES_TRUE, _V.FULLY_CONTRADICTORY),
-    _V.SOMETIMES_FALSE: (
-        _V.TRUE,
-        _V.SOMETIMES_TRUE,
-        _V.UNKNOWN,
-        _V.CONTRADICTORY,
-        _V.FULLY_CONTRADICTORY,
-        _V.SOMETIMES_FALSE,
-    ),
-    _V.FALSE: tuple(_V),
+    v: tuple(w for w in _V if truth_leq(v, w)) for v in _V
 }
 
 DOWNWARD_MEMBERS: dict[TruthValue, tuple[TruthValue, ...]] = {
@@ -140,30 +145,26 @@ def _check(kb: KnowledgeBase, p: Orthopair) -> None:
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
 
 
-def _classwise_mask(kb: KnowledgeBase, p: Orthopair, v: TruthValue) -> int:
+def _regions(kb: KnowledgeBase, p: Orthopair) -> tuple[int, int, int]:
+    """The masks of p's positive region, negative region and boundary."""
     a = p.positive.bits
     b = p.negative.bits
-    bd = kb.universe.full_mask & ~a & ~b
+    return a, b, kb.universe.full_mask & ~a & ~b
+
+
+def _flag(block: int, a: int, b: int, bd: int) -> int:
+    """The region flag of a block mask: the regions it meets."""
+    return ((POSITIVE if block & a else 0) | (NEGATIVE if block & b else 0)
+            | (BOUNDARY if block & bd else 0))
+
+
+def _classwise_mask(kb: KnowledgeBase, p: Orthopair, v: TruthValue) -> int:
+    """The blocks whose region flag is v's."""
+    a, b, bd = _regions(kb, p)
     out = 0
     for block in kb.blocks:
-        m = block.bits
-        hits_a, hits_b, hits_bd = bool(m & a), bool(m & b), bool(m & bd)
-        if v is _V.TRUE:
-            keep = m & ~a == 0
-        elif v is _V.SOMETIMES_TRUE:
-            keep = not hits_b and hits_a and hits_bd
-        elif v is _V.UNKNOWN:
-            keep = m & ~bd == 0
-        elif v is _V.CONTRADICTORY:
-            keep = not hits_bd and hits_a and hits_b
-        elif v is _V.FULLY_CONTRADICTORY:
-            keep = hits_a and hits_b and hits_bd
-        elif v is _V.SOMETIMES_FALSE:
-            keep = not hits_a and hits_b and hits_bd
-        else:
-            keep = m & ~b == 0
-        if keep:
-            out |= m
+        if _flag(block.bits, a, b, bd) == v.flag:
+            out |= block.bits
     return out
 
 
@@ -205,43 +206,23 @@ def part(
     raise ValueError(f"unknown formulation {formulation!r}")
 
 
-_TRIPLE_TO_VALUE = {
-    (True, False, False): _V.TRUE,
-    (True, False, True): _V.SOMETIMES_TRUE,
-    (False, False, True): _V.UNKNOWN,
-    (True, True, False): _V.CONTRADICTORY,
-    (True, True, True): _V.FULLY_CONTRADICTORY,
-    (False, True, True): _V.SOMETIMES_FALSE,
-    (False, True, False): _V.FALSE,
-}
-
-
-def _signature_value(block: int, a: int, b: int, bd: int) -> TruthValue:
-    return _TRIPLE_TO_VALUE[(block & a != 0, block & b != 0, block & bd != 0)]
-
-
 def block_values(kb: KnowledgeBase, p: Orthopair) -> list[TruthValue]:
     """Truth value of every block of kb, in block order.
 
-    A block's value depends only on its signature: whether it meets the
+    A block's value depends only on its region flag: whether it meets the
     positive region, the negative region and the boundary.  Every object
     of a block shares it, so `kb.block_index` gives each object's value.
-    Blocks are never empty, so every signature has a value.
+    Blocks are never empty, so every flag names a value.
     """
     _check(kb, p)
-    a = p.positive.bits
-    b = p.negative.bits
-    bd = kb.universe.full_mask & ~a & ~b
-    return [_signature_value(block.bits, a, b, bd) for block in kb.blocks]
+    a, b, bd = _regions(kb, p)
+    return [BY_FLAG[_flag(block.bits, a, b, bd)] for block in kb.blocks]
 
 
 def classify(kb: KnowledgeBase, p: Orthopair, name: str) -> TruthValue:
     """Truth value of one object, from how its class meets the three regions."""
     _check(kb, p)
-    a = p.positive.bits
-    b = p.negative.bits
-    bd = kb.universe.full_mask & ~a & ~b
-    return _signature_value(kb.block_of(name).bits, a, b, bd)
+    return BY_FLAG[_flag(kb.block_of(name).bits, *_regions(kb, p))]
 
 
 class SevenPartition(FrozenRecord):

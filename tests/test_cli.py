@@ -128,6 +128,15 @@ def test_classify_attribute_subset_changes_partition(capsys, demo_csv):
     assert by_id["o1"] == "K"
 
 
+def test_classify_attribute_names_are_stripped(capsys, demo_csv):
+    spaced = run(capsys, "classify", "--input", str(demo_csv),
+                 "--attributes", " symptom_a , symptom_b", "--format", "json")
+    plain = run(capsys, "classify", "--input", str(demo_csv),
+                "--attributes", "symptom_a,symptom_b", "--format", "json")
+    assert spaced == plain
+    assert spaced[0] == 0
+
+
 def test_classify_custom_tokens(capsys, tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("id,a,d\nx,1,ja\ny,2,nein\nz,3,offen\n")
@@ -544,8 +553,8 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
     code, out, loaded = _loaded_by(["verify", "--input", str(demo_csv)])
     assert (code, out) == (0, f"table {demo_csv}: PBZ-certified\n")
     assert {m for m in loaded if m.startswith("pbzlogic")} == {
-        "pbzlogic", "pbzlogic._record", "pbzlogic.cli", "pbzlogic.universe",
-        "pbzlogic.sweep", "pbzlogic.axioms",
+        "pbzlogic", "pbzlogic._record", "pbzlogic.cli", "pbzlogic.sevenvalued",
+        "pbzlogic.universe", "pbzlogic.sweep", "pbzlogic.axioms",
     }
     assert not loaded & {"dataclasses", "hashlib"}
 

@@ -19,8 +19,7 @@ from pbzlogic import (
     evaluate_logic,
     validate_logic,
 )
-from pbzlogic.logics import _CASES, BASE_SYMBOLS, _validate_brute
-from pbzlogic.sevenvalued import _TRIPLE_TO_VALUE
+from pbzlogic.logics import _CASE_ORDER, BASE_SYMBOLS, _validate_brute, _witness
 
 V = TruthValue
 
@@ -169,11 +168,27 @@ def test_validation_undecided_under_tiny_budget(six_kb):
 
 
 def test_case_regions_match_the_classifier():
-    # a block meeting exactly a case's regions takes the case's value
-    assert [value for value, _ in _CASES] == [V(s) for s in "T U F sT K sF fK".split()]
-    for value, regions in _CASES:
-        meets = tuple(r in regions for r in ("positive", "negative", "boundary"))
-        assert _TRIPLE_TO_VALUE[meets] is value
+    # The cases in order.  On blocks of 1, 3 and 2 objects, a case's witness
+    # is the first smallest block that can take its value: the block's
+    # objects go one into each of the value's regions, in the order
+    # positive, negative, boundary, and the rest into the first; every
+    # other object is negative.  The witness block takes the case's value.
+    kb = KnowledgeBase.from_block_ids(default_universe(6), [0, 1, 1, 1, 2, 2])
+    witnesses = {  # symbol: witness block, positive objects, negative objects
+        "T": (0, "o1", "o2 o3 o4 o5 o6"),
+        "U": (0, "", "o2 o3 o4 o5 o6"),
+        "F": (0, "", "o1 o2 o3 o4 o5 o6"),
+        "sT": (2, "o5", "o1 o2 o3 o4"),
+        "K": (2, "o5", "o1 o2 o3 o4 o6"),
+        "sF": (2, "", "o1 o2 o3 o4 o5"),
+        "fK": (1, "o2", "o1 o3 o5 o6"),
+    }
+    assert _CASE_ORDER == tuple(V(s) for s in "T U F sT K sF fK".split())
+    for value in _CASE_ORDER:
+        block, positive, negative = witnesses[value.symbol]
+        p = _witness(kb, value)
+        assert (list(p.positive), list(p.negative)) == (positive.split(), negative.split())
+        assert block_values(kb, p)[block] is value
 
 
 # Belnap with K_B narrowed to fK: K, the fifth case, has no label.

@@ -190,6 +190,21 @@ def test_parts_match_set_oracle(size):
                 assert frozenset(part(kb, p, v)) == expected[v.symbol]
 
 
+@pytest.mark.parametrize("flag", range(1, 8))
+def test_flag_table_matches_the_oracle(flag):
+    # one block of 3 objects meeting exactly the regions of `flag`:
+    # bit 1 the positive region, bit 2 the negative one, bit 4 the boundary
+    u = Universe.of("x", "y", "z")
+    kb = KnowledgeBase.from_partition(u, [u.full()])
+    regions = [bit for bit in (1, 2, 4) if flag & bit]
+    region_of = {name: regions[i % len(regions)] for i, name in enumerate(u)}
+    a = frozenset(n for n, r in region_of.items() if r == 1)
+    b = frozenset(n for n, r in region_of.items() if r == 2)
+    (value,) = block_values(kb, Orthopair.from_names(u, a, b))
+    assert value.flag == flag
+    assert oracle_parts([frozenset(u)], a, b)[value.symbol] == frozenset(u)
+
+
 def test_truth_order():
     assert truth_leq(V.FALSE, V.SOMETIMES_FALSE)
     assert truth_leq(V.SOMETIMES_FALSE, V.UNKNOWN)
