@@ -9,7 +9,12 @@ engines reach a verdict:
   pbzlogic builds the operators itself: the standard operators, or one of
   the documented mutations.  The budget cuts it short: it evaluates its
   cases in a fixed order, and when there are more cases than the budget
-  and none of the first `budget` fails, the verdict is undecided;
+  and none of the first `budget` fails, the verdict is undecided.  It
+  takes |U| and the positions of the first largest block's objects, not
+  the knowledge base: `verify --input` passes those of a table to
+  `check_blocks` and so loads neither the mask layer nor the sweep, and
+  `check_axiom`, `check_all` and `run_mutation` read them off a
+  KnowledgeBase;
 * the brute engine enumerates every tuple of orthopairs while the tuple
   count fits in the budget and samples otherwise; a sampled run that finds
   no violation is reported as undecided, never as a pass.  It runs for
@@ -78,10 +83,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .sweep import all_orthopair_masks, default_universe
-from .universe import KnowledgeBase, Universe
+if TYPE_CHECKING:  # the mask layer: imported by the brute engine only
+    from .universe import KnowledgeBase, Universe
 
 Pair = tuple[int, int]
 
@@ -120,7 +125,12 @@ class LatticeOps(NamedTuple):
 
 def standard_ops(kb: KnowledgeBase) -> LatticeOps:
     full = kb.universe.full_mask
-    table = tuple(kb.lower_mask(m) for m in range(full + 1))
+    return _ops(full, tuple(kb.lower_mask(m) for m in range(full + 1)))
+
+
+def _ops(full: int, table: tuple[int, ...]) -> LatticeOps:
+    """The standard operators on masks within `full`, where `table[m]` is
+    the lower approximation of the mask m."""
 
     def meet(p: Pair, q: Pair) -> Pair:
         return (p[0] & q[0], p[1] | q[1])
@@ -138,6 +148,14 @@ def standard_ops(kb: KnowledgeBase) -> LatticeOps:
         return (table[p[0]], table[p[1]])
 
     return LatticeOps(full, table, meet, join, kleene, brouwer, pawlak)
+
+
+def all_orthopair_masks(size: int) -> Iterator[Pair]:
+    """`sweep.all_orthopair_masks`, imported on first call, so that only
+    the brute engine loads the sweep and the mask layer."""
+    from .sweep import all_orthopair_masks
+
+    return all_orthopair_masks(size)
 
 
 class Axiom(NamedTuple):
@@ -235,6 +253,8 @@ class AxiomReport(NamedTuple):
     cases_checked: int
     exhaustive: bool
     witness: tuple[Pair, ...] | None
+    # The knowledge base's universe; for a table, the table, whose `objects`
+    # are its ids in row order.
     universe: Universe
 
     def witness_names(self) -> list[dict[str, list[str]]] | None:
@@ -243,7 +263,8 @@ class AxiomReport(NamedTuple):
         objects = self.universe.objects
 
         def names(mask: int) -> list[str]:
-            return [name for i, name in enumerate(objects) if mask >> i & 1]
+            digits = bin(mask)[:1:-1]  # digit i is object i; a shift per object is O(|U|)
+            return [name for name, digit in zip(objects, digits) if digit == "1"]
 
         return [{"positive": names(a), "negative": names(b)} for a, b in self.witness]
 
@@ -263,6 +284,14 @@ class AxiomReport(NamedTuple):
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
+
+
+def _shape(kb: KnowledgeBase) -> tuple[int, list[int]]:
+    """The arguments of `check_blocks` that describe kb: |U| and the
+    positions of the objects of its first largest block."""
+    block = max(kb.blocks, key=len)
+    digits = bin(block.bits)[:1:-1]  # digit i is object i
+    return kb.universe.size, [i for i, digit in enumerate(digits) if digit == "1"]
 
 
 def check_axiom(
@@ -287,7 +316,7 @@ def check_axiom(
         raise ValueError(f"unknown axiom {axiom_id!r}") from None
     _check_budget(budget)
     if ops is None and elements is None:
-        return _check_builtin(kb, axiom, budget, None)
+        return _check_builtin(axiom, budget, None, *_shape(kb), kb.universe)
     if ops is None:
         ops = standard_ops(kb)
     return _check_brute(kb, axiom, budget, ops, elements, seed)
@@ -340,6 +369,7 @@ def _state_count(mutation: str | None) -> int:
     return 4 if mutation == "drop-disjointness" else 3
 
 
+@functools.cache
 def _reduced_cases(types: int, cap: int) -> int:
     """Number of nonempty sets of at most `cap` of `types` types."""
     return sum(math.comb(types, k) for k in range(1, cap + 1))
@@ -370,10 +400,12 @@ def _pairs(
 
 @functools.cache
 def _block_ops(size: int, mutation: str | None) -> LatticeOps:
-    """Operators of the knowledge base with a single block of `size` objects."""
-    universe = default_universe(size)
-    kb = KnowledgeBase(universe, (universe.full(),))
-    return standard_ops(kb) if mutation is None else mutated_ops(kb, mutation)
+    """Operators of the knowledge base with a single block of `size`
+    objects.  They need only its two masks: the lower approximation of a
+    mask is the whole block if the mask is, and nothing otherwise."""
+    full = (1 << size) - 1
+    ops = _ops(full, (0,) * full + (full,))
+    return ops if mutation is None else _mutate(ops, mutation)
 
 
 # The key space is small (axiom, mutation, cap <= 16), so the cache stays
@@ -400,21 +432,28 @@ def _reduced_verdict(
 
 
 def _lift(
-    kb: KnowledgeBase, type_set: tuple[tuple[int, ...], ...], arity: int
+    size: int, members: Sequence[int], type_set: tuple[tuple[int, ...], ...], arity: int
 ) -> tuple[Pair, ...]:
-    """A witness over kb from a failing type set (module docstring)."""
-    sizes = [len(block) for block in kb.blocks]
-    largest = sizes.index(max(sizes))
-    members = [i for i, b in enumerate(kb.block_index) if b == largest]
-    block = kb.blocks[largest]
+    """A witness over a knowledge base of `size` objects from a failing type
+    set, placed on `members`, its first largest block (module docstring)."""
+    outside = (1 << size) - 1
+    for i in members:
+        outside ^= 1 << i
     filled = type_set + (type_set[0],) * (len(members) - len(type_set))
-    return _pairs(filled, members, arity, kb.universe.full_mask ^ block.bits)
+    return _pairs(filled, members, arity, outside)
 
 
 def _check_builtin(
-    kb: KnowledgeBase, axiom: Axiom, budget: int, mutation: str | None
+    axiom: Axiom,
+    budget: int,
+    mutation: str | None,
+    size: int,
+    members: Sequence[int],
+    universe: Universe,
 ) -> AxiomReport:
-    """Check the operators pbzlogic builds: standard, or a named mutation.
+    """Check the operators pbzlogic builds, standard or a named mutation, on
+    a knowledge base of `size` objects whose first largest block holds the
+    objects at `members`; `universe` names the objects of a witness.
 
     An exact verdict reports as cases the tuples it covers, as the brute
     engine does.  The verdict is the one the first `budget` reduced cases
@@ -423,17 +462,44 @@ def _check_builtin(
     """
     states = _state_count(mutation)
     types = states**axiom.arity
-    cap = 1 if axiom.pointwise else min(max(map(len, kb.blocks)), types)
+    cap = 1 if axiom.pointwise else min(len(members), types)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
     if failure is not None and checked <= budget:
         return AxiomReport(
             axiom.ident, "counterexample", checked, False,
-            _lift(kb, failure, axiom.arity), kb.universe,
+            _lift(size, members, failure, axiom.arity), universe,
         )
     if _reduced_cases(types, cap) > budget:
-        return AxiomReport(axiom.ident, "undecided", budget, False, None, kb.universe)
-    total = states ** (kb.universe.size * axiom.arity)
-    return AxiomReport(axiom.ident, "holds", total, True, None, kb.universe)
+        return AxiomReport(axiom.ident, "undecided", budget, False, None, universe)
+    total = states ** (size * axiom.arity)
+    return AxiomReport(axiom.ident, "holds", total, True, None, universe)
+
+
+def check_blocks(
+    size: int,
+    members: Sequence[int],
+    universe: Universe,
+    budget: int = DEFAULT_BUDGET,
+    mutation: str | None = None,
+) -> list[AxiomReport]:
+    """Every axiom, under the standard operators or one documented
+    mutation, on a knowledge base of `size` objects whose first largest
+    block holds the objects at positions `members`.
+
+    This is the reduced engine's one entry; `check_axiom`, `check_all` and
+    `run_mutation` describe a KnowledgeBase to it, and `verify --input`
+    describes a table, whose ids it takes for `universe`.  By the module
+    docstring the verdicts depend only on the largest block, and the
+    members place a counterexample.  An unknown mutation or a budget below
+    1 is a ValueError.
+    """
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    _check_budget(budget)
+    return [
+        _check_builtin(axiom, budget, mutation, size, members, universe)
+        for axiom in _AXIOM_LIST
+    ]
 
 
 def check_all(
@@ -443,6 +509,8 @@ def check_all(
     elements: Sequence[Pair] | None = None,
     seed: int = 0,
 ) -> list[AxiomReport]:
+    if ops is None and elements is None:
+        return check_blocks(*_shape(kb), kb.universe, budget)
     return [
         check_axiom(kb, ident, budget=budget, ops=ops, elements=elements, seed=seed)
         for ident in AXIOMS
@@ -467,7 +535,11 @@ MUTATIONS: dict[str, str] = {
 
 
 def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
-    ops = standard_ops(kb)
+    return _mutate(standard_ops(kb), name)
+
+
+def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
+    """`ops` with the one operator that the named mutation replaces."""
     full = ops.full
     table = ops.lower_table
 
@@ -500,7 +572,4 @@ def run_mutation(
 ) -> list[AxiomReport]:
     """Run every axiom against one documented mutation, with the budget
     semantics of check_axiom."""
-    if name not in MUTATIONS:
-        raise ValueError(f"unknown mutation {name!r}")
-    _check_budget(budget)
-    return [_check_builtin(kb, axiom, budget, name) for axiom in _AXIOM_LIST]
+    return check_blocks(*_shape(kb), kb.universe, budget, name)

@@ -4,10 +4,13 @@ A logic assigns each object one of n derived values.  Each derived value is
 defined by a union of upward aggregations, a union of downward
 aggregations, or the intersection of one union of each kind.  A logic is
 valid on a knowledge base when its derived values partition the universe
-for every concept (orthopair).  `validate_logic` decides that from the
-logic's seven-entry `value_table` and the size of the largest block, by the
-argument below; `_validate_brute` enumerates every concept and stays as
-the oracle the tests compare against.
+for every concept (orthopair).  `validate_blocks` decides that from the
+logic's seven-entry `value_table` and the block sizes, by the argument
+below: only the largest block and |U| matter, and only the witness of an
+invalid verdict needs the mask layer.  It takes a table's block sizes in
+`validate-logic --input`; `validate_logic` runs it on a KnowledgeBase.
+`_validate_brute` enumerates every concept and stays as the oracle the
+tests compare against.
 
 Why the seven-value rule is exact
 ---------------------------------
@@ -46,15 +49,12 @@ overlap or the uncovered objects.
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._record import FrozenRecord
+from .regions import BOUNDARY, NEGATIVE, POSITIVE
 from .sevenvalued import (
-    BOUNDARY,
     DOWNWARD_MEMBERS,
-    NEGATIVE,
-    POSITIVE,
     UPWARD_MEMBERS,
     TruthValue,
     downward_part,
@@ -174,10 +174,14 @@ class LogicSpec(FrozenRecord):
         return cls(name=_expect(data["name"], str, "a name"), values=tuple(values))
 
     def to_json(self) -> str:
+        import json  # here and below: a command loads it only to read a spec file
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "LogicSpec":
+        import json
+
         return cls.from_dict(json.loads(text))
 
 
@@ -281,18 +285,27 @@ def _partition_failure(kb: KnowledgeBase, spec: LogicSpec, p: Orthopair) -> dict
 _CASE_ORDER = tuple(sorted(TruthValue, key=lambda v: v.flag.bit_count()))
 
 
-def _witness(kb: KnowledgeBase, value: TruthValue) -> Orthopair:
-    """A concept on which the first smallest block that can take `value`
-    takes it: the block's first objects go one into each region of the
-    value, in the order positive, negative, boundary, and the rest into the
-    first of them; every other object is negative."""
+def _witness_block(block_sizes: Sequence[int], value: TruthValue) -> int:
+    """The first smallest block that can take `value`: one with at least
+    need(value) objects."""
+    need = value.flag.bit_count()
+    return min((b for b, size in enumerate(block_sizes) if size >= need),
+               key=block_sizes.__getitem__)
+
+
+def _witness(kb: KnowledgeBase, block: int, value: TruthValue) -> Orthopair:
+    """A concept on which the given block of kb takes `value`: the block's
+    first objects go one into each region of the value, in the order
+    positive, negative, boundary, and the rest into the first of them;
+    every other object is negative.  The block has at least need(value)
+    objects."""
     from .orthopair import Orthopair
     from .universe import ObjectSet
 
     regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
-    block = min((b for b in kb.blocks if len(b) >= len(regions)), key=len)
-    masks = {POSITIVE: 0, NEGATIVE: kb.universe.full_mask & ~block.bits, BOUNDARY: 0}
-    rest, i = block.bits, 0
+    bits = kb.blocks[block].bits
+    masks = {POSITIVE: 0, NEGATIVE: kb.universe.full_mask & ~bits, BOUNDARY: 0}
+    rest, i = bits, 0
     while rest:
         low = rest & -rest  # the block's next object, in universe order
         masks[regions[i] if i < len(regions) else regions[0]] |= low
@@ -303,34 +316,54 @@ def _witness(kb: KnowledgeBase, value: TruthValue) -> Orthopair:
     )
 
 
-def validate_logic(
-    kb: KnowledgeBase, spec: LogicSpec, budget: int | None = None
+def validate_blocks(
+    spec: LogicSpec,
+    labels_of: dict[TruthValue, tuple[str, ...]],
+    block_sizes: Sequence[int],
+    knowledge_base: Callable[[], KnowledgeBase],
+    budget: int | None = None,
 ) -> LogicValidation:
-    """Decide whether the logic partitions U for every orthopair over kb.
+    """Decide whether the logic partitions U for every orthopair over a
+    knowledge base with blocks of the given sizes.
 
-    Exact, by the rule in the module docstring: each base value the largest
-    block can take is a case, and the logic is valid iff each case has
-    exactly one label.  A valid logic reports the 3^|U| concepts the
-    verdict covers; an invalid one the cases evaluated, up to the first
-    failure, with its witness concept.  The budget truncates the case
+    This is the one engine behind `validate_logic`, and `validate-logic`
+    runs it on a table's block sizes.  `labels_of` is `spec.value_table()`,
+    computed once by the caller.  Exact, by the rule in the module
+    docstring: each base value the largest block can take is a case, and
+    the logic is valid iff each case has exactly one label.  A valid logic
+    reports the 3^|U| concepts the verdict covers; an invalid one the cases
+    evaluated, up to the first failure, with its witness concept.  Only the
+    witness needs the mask layer: `knowledge_base()` builds it, once the
+    witness block is chosen from the sizes.  The budget truncates the case
     order: with more cases than the budget and no failure among the first
     `budget`, the verdict is undecided.  A budget below 1 is a ValueError.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
-    largest = max(map(len, kb.blocks))
+    largest = max(block_sizes)
     cases = [value for value in _CASE_ORDER if value.flag.bit_count() <= largest]
-    labels_of = spec.value_table()
     for checked, value in enumerate(cases[:budget], 1):
         if len(labels_of[value]) != 1:
-            p = _witness(kb, value)
+            block = _witness_block(block_sizes, value)
+            kb = knowledge_base()
+            p = _witness(kb, block, value)
             return LogicValidation(
                 spec.name, "invalid", checked, True,
                 witness=p, **_partition_failure(kb, spec, p),
             )
     if budget is not None and len(cases) > budget:
         return LogicValidation(spec.name, "undecided", budget, False)
-    return LogicValidation(spec.name, "valid", 3**kb.universe.size, True)
+    return LogicValidation(spec.name, "valid", 3 ** sum(block_sizes), True)
+
+
+def validate_logic(
+    kb: KnowledgeBase, spec: LogicSpec, budget: int | None = None
+) -> LogicValidation:
+    """Decide whether the logic partitions U for every orthopair over kb:
+    `validate_blocks` on kb's block sizes."""
+    return validate_blocks(
+        spec, spec.value_table(), [len(block) for block in kb.blocks], lambda: kb, budget
+    )
 
 
 def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:

@@ -1,0 +1,164 @@
+"""The classification report of `classify`: one pass over a table's blocks,
+and the objects it lists, written a chunk at a time.
+
+`cli.render_json` writes the report's JSON and asks its `ObjectRows` to
+write the objects; `render_classification_text` writes the text form.
+"""
+
+from __future__ import annotations
+
+from array import array
+from typing import TYPE_CHECKING, Iterator, TextIO
+
+from _json import encode_basestring_ascii
+
+from .sevenvalued import BY_FLAG, TruthValue
+from .table import SCHEMA_VERSION
+
+if TYPE_CHECKING:
+    from .logics import LogicSpec
+    from .table import Table
+
+# The renderers write a report's objects this many at a time.
+RENDER_CHUNK = 512
+
+
+def build_classification_report(
+    table: Table,
+    spec: LogicSpec | None,
+    input_sha256: str,
+    config_echo: dict,
+) -> dict:
+    """Classify every object in one pass over the blocks.
+
+    Each block's value comes from its flag, and a logic is its seven-entry
+    `value_table`; the bare seven values are the identity table.  An
+    object takes its block's value and label, so the counts are block
+    sizes and `objects` is an `ObjectRows` over the table's arrays.  A
+    logic that gives a value other than one label is a ValueError naming
+    the first object in row order that has no single label.
+    """
+    from .logics import single_label
+
+    if spec is None:
+        labels_of = {v: (v.symbol,) for v in TruthValue}
+        derived_order = [v.symbol for v in TruthValue]
+    else:
+        labels_of = spec.value_table()
+        derived_order = list(spec.labels())
+    # A flag's label is checked on its first block, in block order, which
+    # is the order of the blocks' first rows.  Dicts here are keyed by the
+    # int flags: a TruthValue hashes in Python code.
+    label_of: dict[int, str] = {}
+    rows_of = [0] * 8
+    for first, flag, size in zip(table.firsts, table.flags, table.block_sizes):
+        if flag not in label_of:
+            labels = labels_of[BY_FLAG[flag]]
+            label_of[flag] = single_label(table.objects[first], labels)
+        rows_of[flag] += size
+    symbol_of = {flag: BY_FLAG[flag].symbol for flag in label_of}
+
+    seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
+    derived_counts = dict.fromkeys(derived_order, 0)
+    for flag, label in label_of.items():
+        seven_counts[symbol_of[flag]] += rows_of[flag]
+        derived_counts[label] += rows_of[flag]
+    seven_of = [symbol_of[flag] for flag in table.flags]
+    derived_of = [label_of[flag] for flag in table.flags]
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "logic": spec.name if spec is not None else "seven",
+        "provenance": {"input_sha256": input_sha256, "config": config_echo},
+        "objects": ObjectRows(table.objects, table.block_ids, seven_of, derived_of),
+        "summary": {"seven": seven_counts, "derived": derived_counts},
+    }
+
+
+class ObjectRows(list):
+    """The `objects` of a classification report, read from the table.
+
+    Entry i is `{"derived": ..., "id": ..., "seven": ...}` for the object
+    `ids[i]` of block `block_ids[i]`, made when read, so that a report
+    holds no dict per object; the renderers read the arrays themselves.
+    It is a list subclass only so that `json.dumps` encodes it (both of
+    its encoders iterate a list subclass): the list's own storage stays
+    empty, so this is a read-only sequence, and list methods not defined
+    here see an empty list.
+    """
+
+    def __init__(self, ids: list[str], block_ids: array,
+                 seven: list[str], derived: list[str]) -> None:
+        super().__init__()
+        self.ids = ids
+        self.block_ids = block_ids
+        self.seven = seven  # per block
+        self.derived = derived  # per block
+
+    def _entry(self, oid: str, block: int) -> dict:
+        return {"id": oid, "seven": self.seven[block], "derived": self.derived[block]}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._entry, self.ids, self.block_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._entry, self.ids[i], self.block_ids[i]))
+        return self._entry(self.ids[i], self.block_ids[i])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, list) and list(self) == list(other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def write_json(self, out: TextIO) -> None:
+        """Write the entries as `json.dumps(report, indent=2, sort_keys=True)`
+        lists them, with no brackets and no line break after the last.
+
+        Each distinct (derived, seven) pair is encoded once, and each object
+        adds only its escaped id (the C `encode_basestring_ascii`, which
+        `json.dumps` uses too) between its block's two fragments, written
+        `RENDER_CHUNK` objects at a time.
+        """
+        escape = encode_basestring_ascii
+        pairs = list(zip(self.derived, self.seven))  # per block
+        fragments = {
+            (derived, seven): (
+                f'    {{\n      "derived": {escape(derived)},\n      "id": ',
+                f',\n      "seven": {escape(seven)}\n    }}',
+            )
+            for derived, seven in set(pairs)
+        }
+        before, after = zip(*map(fragments.get, pairs))
+        ids, block_ids = self.ids, self.block_ids
+        for i in range(0, len(ids), RENDER_CHUNK):
+            j = i + RENDER_CHUNK
+            out.write((",\n" if i else "") + ",\n".join([
+                before[b] + oid + after[b]
+                for oid, b in zip(map(escape, ids[i:j]), block_ids[i:j])
+            ]))
+
+
+def render_classification_text(report: dict, out: TextIO) -> None:
+    """Write one line per object under a header, `RENDER_CHUNK` objects at
+    a time, then the seven and derived counts."""
+    rows = report["objects"]
+    ids, block_ids = rows.ids, rows.block_ids
+    width = max(6, max(map(len, ids))) + 2
+    suffix = [f"{seven:<7}{derived}\n" for seven, derived in zip(rows.seven, rows.derived)]
+    out.write(f"logic: {report['logic']}\n{'object':<{width}}{'seven':<7}derived\n")
+    for i in range(0, len(ids), RENDER_CHUNK):
+        j = i + RENDER_CHUNK
+        out.write("".join([
+            oid.ljust(width) + suffix[b] for oid, b in zip(ids[i:j], block_ids[i:j])
+        ]))
+    for kind in ("seven", "derived"):
+        counts = report["summary"][kind]
+        out.write(f"{kind} counts: " + " ".join(f"{k}={v}" for k, v in counts.items()) + "\n")

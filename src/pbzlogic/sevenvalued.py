@@ -27,14 +27,11 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
+from .regions import BOUNDARY, NEGATIVE, POSITIVE
 
 if TYPE_CHECKING:
     from .orthopair import Orthopair
     from .universe import KnowledgeBase, ObjectSet
-
-# The bits of a region flag: a block meets the positive region A, the
-# negative region B, the boundary.
-POSITIVE, NEGATIVE, BOUNDARY = 1, 2, 4
 
 
 class TruthValue(Enum):

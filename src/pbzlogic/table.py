@@ -1,0 +1,280 @@
+"""Decision-table ingest: a CSV file read into a `Table` in one pass.
+
+Every command that takes `--input` reads its table here.  A `Table` holds
+what the three commands need of the partition, all linear in the rows: a
+block id per row, the block sizes, and one region flag per block.  The
+truth values and the mask layer are imported only where a method needs
+them, so that `verify` loads neither.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+from array import array
+from collections import Counter
+from operator import itemgetter
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+
+from .regions import BOUNDARY, NEGATIVE, POSITIVE
+
+if TYPE_CHECKING:
+    from .sevenvalued import TruthValue
+    from .universe import KnowledgeBase
+
+# The version of the JSON reports that the CLI writes for its tables.
+SCHEMA_VERSION = 1
+
+DEFAULT_POSITIVE = ("1", "yes", "true", "positive")
+DEFAULT_NEGATIVE = ("0", "no", "false", "negative")
+DEFAULT_UNKNOWN = ("?", "unknown", "")
+
+# `load_table` decodes its input in pieces of at least this many bytes.
+DECODE_PIECE = 1 << 16
+
+
+class DataError(ValueError):
+    """Unusable input data; reported with file location where possible."""
+
+
+class TableConfig(NamedTuple):
+    attributes: tuple[str, ...] | None = None  # None: all condition columns
+    decision_column: str | None = None  # None: last column
+    positive_tokens: tuple[str, ...] = DEFAULT_POSITIVE
+    negative_tokens: tuple[str, ...] = DEFAULT_NEGATIVE
+    unknown_tokens: tuple[str, ...] = DEFAULT_UNKNOWN
+
+    def echo(self) -> dict:
+        return {
+            "attributes": list(self.attributes) if self.attributes else "all",
+            "decision_column": self.decision_column or "last",
+            "positive_tokens": sorted(self.positive_tokens),
+            "negative_tokens": sorted(self.negative_tokens),
+            "unknown_tokens": sorted(self.unknown_tokens),
+        }
+
+
+class Table(NamedTuple):
+    """A decision table reduced to what its seven-valued classification needs.
+
+    Rows are objects, in file order.  Rows with equal condition attributes
+    share a block, and blocks are numbered in order of their first row.  A
+    block's seven value depends only on which of the positive region, the
+    negative region and the boundary its rows' decisions meet, so each block
+    keeps one 3-bit region flag (`regions.POSITIVE`, `NEGATIVE` and
+    `BOUNDARY`) instead of a |U|-bit mask.  All of it is linear in the rows.
+    """
+
+    objects: list[str]  # the object id of each row
+    block_ids: array  # array('I'): the block of each row
+    block_sizes: list[int]  # rows per block
+    flags: bytearray  # per block: the regions its rows' decisions meet
+    firsts: array  # array('I'): the first row of each block
+
+    def block_values(self) -> list[TruthValue]:
+        """The seven value of each block, in block order, from its flag."""
+        from .sevenvalued import BY_FLAG
+
+        return [BY_FLAG[flag] for flag in self.flags]
+
+    def largest_block(self) -> list[int]:
+        """The rows of the first largest block, in row order: where
+        `verify` places a counterexample."""
+        sizes = self.block_sizes
+        block = sizes.index(max(sizes))
+        return [row for row, b in enumerate(self.block_ids) if b == block]
+
+    def knowledge_base(self) -> KnowledgeBase:
+        """The table's partition in the mask layer: |U|-bit block masks, as
+        `from_attributes` builds.  `validate-logic` builds it only to lift
+        an invalid verdict to a witness."""
+        from .universe import KnowledgeBase, Universe
+
+        return KnowledgeBase.from_block_ids(Universe(tuple(self.objects)), self.block_ids)
+
+
+def _token_flags(config: TableConfig) -> dict[str, int]:
+    """The flag bit of each lowercased decision token; a token in two of
+    the three sets is a DataError."""
+    flag_of: dict[str, int] = {}
+    kind = {POSITIVE: "positive", NEGATIVE: "negative", BOUNDARY: "unknown"}
+    for flag, tokens in (
+        (POSITIVE, config.positive_tokens),
+        (NEGATIVE, config.negative_tokens),
+        (BOUNDARY, config.unknown_tokens),
+    ):
+        for token in sorted({t.lower() for t in tokens}):
+            if token in flag_of:
+                raise DataError(
+                    f"decision token {token!r} is in both the {kind[flag_of[token]]}"
+                    f" and the {kind[flag]} tokens"
+                )
+            flag_of[token] = flag
+    return flag_of
+
+
+def _picker(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """A function from a row to the tuple of its cells at `indices`."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def _numbered_rows(reader, path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of a `csv.reader`, each with the line it starts on.
+
+    A row ends on the reader's `line_num`, so the next one starts on the
+    line after; blank lines and line breaks inside quoted cells count.  A
+    row the reader rejects, such as one with a cell over the csv module's
+    field size limit, is a DataError citing the line on which it starts.
+    """
+    start = 1
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{start}: {exc}") from exc
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of `data` in hex, from the interpreter's own SHA-256
+    module: `hashlib` would map OpenSSL's libcrypto for this one digest."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _decoded_pieces(data: bytes) -> Iterator[str]:
+    """`data` decoded as UTF-8 in pieces of at least `DECODE_PIECE` bytes,
+    each ending just after a b"\\n" (or at the end), so that no piece splits
+    a line, a \\r\\n or a UTF-8 sequence and no copy of the whole text is
+    made.  A UnicodeDecodeError counts its position from the start of
+    `data`, as decoding the whole of it would."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + DECODE_PIECE - 1) + 1 or len(data)
+        try:
+            piece = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(
+                exc.encoding, data, start + exc.start, start + exc.end, exc.reason
+            ) from None
+        yield piece
+        start = end
+
+
+def load_table(
+    path: str | Path, config: TableConfig | None = None, data: bytes | None = None
+) -> Table:
+    """Read a CSV decision table into a `Table`, in one pass over its rows.
+
+    The first column holds object ids; the decision column (default: last)
+    maps to positive/negative/unknown through the configured token sets,
+    which must be disjoint.  Each row adds its id and block id, and ORs its
+    decision's bit into its block's flag; no list of rows is kept.  `data`
+    is the file's content when the caller has read it already (to hash
+    exactly the bytes parsed); otherwise the file at `path` is read.  A
+    DataError about a row cites the line on which the row starts.  The
+    content is decoded piece by piece, but a decode error anywhere in it
+    is reported before any DataError, as when it was decoded whole.
+    """
+    config = config or TableConfig()
+    flag_of = _token_flags(config)
+    if data is None:
+        data = Path(path).read_bytes()
+    pieces = _decoded_pieces(data)
+    # csv.reader takes \r\n and a lone \r as line ends, as reading in text
+    # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
+    # stays in the (unused) id column name.
+    reader = csv.reader(itertools.chain.from_iterable(
+        io.StringIO(piece, newline="") for piece in pieces))
+    try:
+        return _read_table(_numbered_rows(reader, path), path, config, flag_of)
+    except DataError:
+        for _ in pieces:  # raises on the first undecodable byte left
+            pass
+        raise
+
+
+def _read_table(rows: Iterator[tuple[int, list[str]]], path: str | Path,
+                config: TableConfig, flag_of: dict[str, int]) -> Table:
+    """The `Table` of `load_table`, from the numbered rows of its file."""
+    header_row = next(rows, None)
+    first_row = next(rows, None)
+    if first_row is None:
+        raise DataError(f"{path}: expected a header row and at least one data row")
+    header = [cell.strip() for cell in header_row[1]]
+    if len(header) < 2:
+        raise DataError(f"{path}: need an id column and at least one more column")
+    column: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if column.setdefault(name, i) != i:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+    decision = config.decision_column or header[-1]
+    if decision not in header[1:]:
+        raise DataError(f"{path}: decision column {decision!r} not found")
+    condition_columns = [c for c in header[1:] if c != decision]
+    attributes = config.attributes or tuple(condition_columns)
+    for name in attributes:
+        if name not in condition_columns:
+            raise DataError(f"{path}: condition attribute {name!r} not found")
+    attribute_at = [column[a] for a in attributes]
+    decision_at = column[decision]
+    width = len(header)
+
+    pick = _picker(attribute_at)
+    objects: list[str] = []
+    seen: set[str] = set()
+    block_ids = array("I")
+    flags = bytearray()
+    firsts = array("I")
+    # `block_of` maps each stripped vector to its block and, as an alias,
+    # each vector as read (a cell read with outer spaces never equals a
+    # stripped one); `flag_of_cell` maps each decision cell as read.  So a
+    # row whose cells were seen before costs one lookup for each.
+    block_of: dict[tuple[str, ...], int] = {}
+    flag_of_cell: dict[str, int] = {}
+    for lineno, row in itertools.chain((first_row,), rows):
+        if len(row) != width:
+            raise DataError(
+                f"{path}:{lineno}: row has {len(row)} cells, header has {width}"
+            )
+        oid = row[0].strip()
+        if not oid:
+            raise DataError(f"{path}:{lineno}: empty object id")
+        if oid in seen:
+            raise DataError(f"{path}:{lineno}: duplicate object id {oid!r}")
+        seen.add(oid)
+        cell = row[decision_at]
+        flag = flag_of_cell.get(cell)
+        if flag is None:
+            flag = flag_of.get(cell.strip().lower())
+            if flag is None:
+                raise DataError(
+                    f"{path}:{lineno}: decision token {cell.strip()!r} is not mapped"
+                )
+            flag_of_cell[cell] = flag
+        vector = pick(row)
+        b = block_of.get(vector)
+        if b is None:
+            b = block_of.setdefault(tuple([c.strip() for c in vector]), len(flags))
+            block_of[vector] = b
+            if b == len(flags):
+                flags.append(0)
+                firsts.append(len(objects))
+        flags[b] |= flag
+        objects.append(oid)
+        block_ids.append(b)
+    rows_in = Counter(block_ids)
+    block_sizes = [rows_in[b] for b in range(len(flags))]
+    return Table(objects, block_ids, block_sizes, flags, firsts)

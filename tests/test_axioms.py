@@ -288,3 +288,17 @@ def test_sixteen_objects_certify_without_enumeration(monkeypatch):
     assert (distrib.status, distrib.cases_checked) == ("undecided", 10)
     assert truncated["A2"].status == "undecided"
     assert truncated["K3"].status == "holds"
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_witness_is_bottom_off_the_largest_block(mutation):
+    # the failing type set goes on the first largest block, and every
+    # variable is bottom on the other blocks (module docstring)
+    for size in (1, 2, 3, 4):
+        for kb in all_knowledge_bases(default_universe(size)):
+            outside = kb.universe.full_mask ^ max(kb.blocks, key=len).bits
+            for report in run_mutation(kb, mutation):
+                for pos, neg in report.witness or ():
+                    assert (pos & outside, neg & outside) == (0, outside)
+                    if mutation != "drop-disjointness":
+                        assert pos & neg == 0

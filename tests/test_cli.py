@@ -12,8 +12,18 @@ from pathlib import Path
 import pytest
 
 import pbzlogic
-from pbzlogic import LogicSpec, ValueDef
+from pbzlogic import (
+    LogicSpec,
+    ValueDef,
+    all_knowledge_bases,
+    certified,
+    check_all,
+    default_universe,
+    run_mutation,
+)
 from pbzlogic.cli import main, sha256_hex
+
+DEMO_CSV = Path(__file__).parent / "data" / "demo.csv"
 
 # `sha256_hex` falls back on hashlib only without both of these modules.
 BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
@@ -447,14 +457,63 @@ def test_verify_mutation_fails(capsys):
         (["verify", "--sizes", "2", "--budget", "-3"], -3),
         (["verify", "--sizes", "2", "--mutate", "kleene-identity", "--budget", "0"], 0),
         (["validate-logic", "--logic", "belnap", "--size", "2", "--budget", "0"], 0),
+        # the reports are streamed, but no byte is written before the first verdict
+        (["verify", "--sizes", "2", "--budget", "0", "--format", "json"], 0),
+        (["verify", "--input", str(DEMO_CSV), "--budget", "0", "--format", "json"], 0),
+        (["validate-logic", "--logic", "belnap", "--size", "2", "--budget", "0",
+          "--format", "json"], 0),
     ],
-    ids=["verify-zero", "verify-negative", "mutation", "validate-logic"],
+    ids=["verify-zero", "verify-negative", "mutation", "validate-logic", "verify-json",
+         "verify-table-json", "validate-logic-json"],
 )
 def test_budget_below_one_is_a_data_error(capsys, argv, budget):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (
         1, "", f"error: the budget must be at least 1, got {budget}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--sizes", "1,2,3"],
+        ["verify", "--sizes", "3", "--mutate", "kleene-identity", "--budget", "40"],
+        ["verify", "--input", str(DEMO_CSV), "--mutate", "pawlak-upper-on-both"],
+        ["validate-logic", "--logic", "triage", "--size", "3"],
+        ["validate-logic", "--logic", "GAPPY", "--size", "3"],
+        ["validate-logic", "--logic", "GAPPY", "--input", str(DEMO_CSV)],
+    ],
+    ids=["verify", "verify-witness", "verify-table-witness", "validate", "validate-invalid",
+         "validate-table-invalid"],
+)
+def test_streamed_json_is_what_json_dumps_writes(capsys, tmp_path, argv):
+    """`verify` and `validate-logic` write their JSON one knowledge base at
+    a time, in the layout of `json.dumps`, witnesses included."""
+    spec = tmp_path / "gappy.json"
+    spec.write_text(LogicSpec("gappy", (ValueDef("yes", up=("T",)),)).to_json())
+    argv = [str(spec) if arg == "GAPPY" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert err == ""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert ('"witness": ' in out) == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["--mutate", "pawlak-upper-on-both", "--budget", "20"]],
+                         ids=["standard", "mutation"])
+def test_verify_sweep_json_lists_each_report(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--sizes", "1,2,3", "--format", "json", *argv)
+    runs = json.loads(out)["runs"]
+    expected = [
+        (f"size {size} partition {i}",
+         run_mutation(kb, argv[1], budget=20) if argv else check_all(kb))
+        for size in (1, 2, 3)
+        for i, kb in enumerate(all_knowledge_bases(default_universe(size)))
+    ]
+    assert [(r["kb"], r["certified"], r["axioms"]) for r in runs] == [
+        (label, certified(reports), [r.to_dict() for r in reports])
+        for label, reports in expected
+    ]
+    assert code == (0 if all(r["certified"] for r in runs) else 2)
 
 
 def test_verify_budget_imports_no_numpy():
@@ -502,8 +561,8 @@ def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
         assert code == 0
         assert json.loads(out)["logic"] == logic
         assert not loaded & {
-            "dataclasses", "pbzlogic.axioms", "pbzlogic.orthopair", "pbzlogic.universe",
-            "pbzlogic.sweep",
+            "dataclasses", "json", "json.decoder", "pbzlogic.axioms", "pbzlogic.orthopair",
+            "pbzlogic.universe", "pbzlogic.sweep",
         }
         if BUILTIN_SHA256:
             assert not loaded & {"hashlib", "_hashlib"}
@@ -550,21 +609,37 @@ def test_closed_stdout_exits_1(tmp_path, rows, head, unbuffered):
 
 
 def test_verify_input_loads_only_the_axiom_engine(demo_csv):
-    code, out, loaded = _loaded_by(["verify", "--input", str(demo_csv)])
-    assert (code, out) == (0, f"table {demo_csv}: PBZ-certified\n")
-    assert {m for m in loaded if m.startswith("pbzlogic")} == {
-        "pbzlogic", "pbzlogic._record", "pbzlogic.cli", "pbzlogic.sevenvalued",
-        "pbzlogic.universe", "pbzlogic.sweep", "pbzlogic.axioms",
-    }
-    assert not loaded & {"dataclasses", "hashlib"}
+    for fmt in ("text", "json"):
+        code, out, loaded = _loaded_by(["verify", "--input", str(demo_csv), "--format", fmt])
+        assert code == 0
+        if fmt == "text":
+            assert out == f"table {demo_csv}: PBZ-certified\n"
+        else:
+            assert json.loads(out)["runs"][0]["certified"] is True
+        # the verdicts come from the block sizes: no mask layer, sweep or truth values
+        assert {m for m in loaded if m.startswith("pbzlogic")} == {
+            "pbzlogic", "pbzlogic.cli", "pbzlogic.table", "pbzlogic.regions",
+            "pbzlogic.axioms",
+        }
+        assert not loaded & {"json", "json.decoder", "hashlib", "dataclasses"}
 
 
 def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv):
-    code, out, loaded = _loaded_by(
-        ["validate-logic", "--logic", "triage", "--input", str(demo_csv)])
-    assert (code, out) == (0, "triage: valid (checked 729 concepts, exhaustive)\n")
-    # the concept enumerator (`sweep`) is the test oracle only
-    assert not loaded & {"dataclasses", "pbzlogic.sweep"}
+    for fmt in ("text", "json"):
+        code, out, loaded = _loaded_by(
+            ["validate-logic", "--logic", "triage", "--input", str(demo_csv), "--format", fmt])
+        assert code == 0
+        if fmt == "text":
+            assert out == "triage: valid (checked 729 concepts, exhaustive)\n"
+        else:
+            assert json.loads(out)["results"][0]["status"] == "valid"
+        # a valid verdict needs the block sizes only: the mask layer builds the
+        # witness of an invalid one, and the concept enumerator (`sweep`) is
+        # the test oracle only
+        assert not loaded & {
+            "dataclasses", "json", "json.decoder", "pbzlogic.universe", "pbzlogic.orthopair",
+            "pbzlogic.sweep",
+        }
 
 
 def test_no_submodule_imports_dataclasses():
@@ -578,7 +653,7 @@ def test_no_submodule_imports_dataclasses():
         "from pbzlogic import *\n"
         "sys.stderr.write(f'{len(names)} {\"dataclasses\" in sys.modules}')\n"
     )
-    assert done.stderr == "8 False"
+    assert done.stderr == "11 False"
 
 
 @pytest.mark.parametrize(

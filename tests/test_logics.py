@@ -19,7 +19,7 @@ from pbzlogic import (
     evaluate_logic,
     validate_logic,
 )
-from pbzlogic.logics import _CASE_ORDER, BASE_SYMBOLS, _validate_brute, _witness
+from pbzlogic.logics import _CASE_ORDER, BASE_SYMBOLS, _validate_brute, _witness, _witness_block
 
 V = TruthValue
 
@@ -186,7 +186,8 @@ def test_case_regions_match_the_classifier():
     assert _CASE_ORDER == tuple(V(s) for s in "T U F sT K sF fK".split())
     for value in _CASE_ORDER:
         block, positive, negative = witnesses[value.symbol]
-        p = _witness(kb, value)
+        assert _witness_block([1, 3, 2], value) == block
+        p = _witness(kb, block, value)
         assert (list(p.positive), list(p.negative)) == (positive.split(), negative.split())
         assert block_values(kb, p)[block] is value
 

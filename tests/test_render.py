@@ -1,22 +1,18 @@
 """`render_json` splices a classification report's objects from per-value
-fragments, written in chunks; it must print exactly what `json.dumps`
-prints."""
+fragments, written in chunks, and writes every other value with its own
+JSON writer; it must print exactly what `json.dumps` prints."""
 
 import csv
 import io
 import json
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbzlogic import LogicSpec, builtin_logic, builtin_logics, cli
-from pbzlogic.cli import (
-    TableConfig,
-    build_classification_report,
-    load_table,
-    render_classification_text,
-    render_json,
-)
+from pbzlogic import LogicSpec, builtin_logic, builtin_logics, report as report_module
+from pbzlogic.cli import TableConfig, _dumps, build_classification_report, load_table, render_json
+from pbzlogic.report import render_classification_text
 
 # Ids and labels the encoder has to escape; "\x00" is left out because
 # csv.reader rejects it before Python 3.11.
@@ -38,14 +34,14 @@ def _escaped_triage() -> LogicSpec:
 LOGICS = [None, *builtin_logics(), _escaped_triage()]
 
 
-def written(render, report: dict, chunk: int = cli.RENDER_CHUNK) -> str:
+def written(render, report: dict, chunk: int = report_module.RENDER_CHUNK) -> str:
     """What `render(report, out)` writes, `chunk` objects at a time."""
     out = io.StringIO()
-    saved, cli.RENDER_CHUNK = cli.RENDER_CHUNK, chunk
+    saved, report_module.RENDER_CHUNK = report_module.RENDER_CHUNK, chunk
     try:
         render(report, out)
     finally:
-        cli.RENDER_CHUNK = saved
+        report_module.RENDER_CHUNK = saved
     return out.getvalue()
 
 
@@ -94,3 +90,26 @@ def test_render_text_formats_each_entry(data, logic, chunk):
 def test_render_json_without_objects_equals_json_dumps():
     for report in ({"runs": [], "schema_version": 1}, {"objects": [], "x": '"objects": []'}):
         assert written(render_json, report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# Ints past the 4,300 digits that str() accepts by default, as exact counts reach.
+BIG_INTS = st.integers(4_300, 5_000).flatmap(lambda d: st.sampled_from([10**d + 7, 3 - 10**d]))
+SCALARS = st.none() | st.booleans() | st.integers() | BIG_INTS | TEXT | st.text()
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(TEXT | st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES, report=st.dictionaries(TEXT | st.text(), JSON_VALUES, max_size=5))
+def test_json_writer_equals_json_dumps(value, report):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert written(render_json, report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,4 +1,4 @@
-"""`cli.Table` against the mask engine: block ids, sizes and flag-derived
+"""`table.Table` against the mask engine: block ids, sizes and flag-derived
 values must be what `KnowledgeBase.from_attributes` and `block_values`
 give, and a logic that is not a partition must fail on the same object."""
 
@@ -23,7 +23,7 @@ from pbzlogic import (
     default_universe,
     evaluate_logic,
 )
-from pbzlogic import cli
+from pbzlogic import table as table_module
 from pbzlogic.cli import (
     DataError,
     TableConfig,
@@ -236,13 +236,13 @@ def test_load_table_decodes_no_whole_file_copy():
 def _loaded(data: bytes, piece: int):
     """`load_table` of `data` decoded in pieces of at least `piece` bytes:
     the Table, or the type and text of the error."""
-    saved, cli.DECODE_PIECE = cli.DECODE_PIECE, piece
+    saved, table_module.DECODE_PIECE = table_module.DECODE_PIECE, piece
     try:
         return load_table("t.csv", TableConfig(), data)
     except (DataError, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
     finally:
-        cli.DECODE_PIECE = saved
+        table_module.DECODE_PIECE = saved
 
 
 CELLS = st.sampled_from(["p", "q", "p\r\nq", "p\rq", "p\nq", "\r", "\n", "é", "✓",
