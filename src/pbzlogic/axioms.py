@@ -10,11 +10,11 @@ engines reach a verdict:
   the documented mutations.  The budget cuts it short: it evaluates its
   cases in a fixed order, and when there are more cases than the budget
   and none of the first `budget` fails, the verdict is undecided.  It
-  takes |U| and the positions of the first largest block's objects, not
-  the knowledge base: `verify --input` passes those of a table to
-  `check_blocks` and so loads neither the mask layer nor the sweep, and
-  `check_axiom`, `check_all` and `run_mutation` read them off a
-  KnowledgeBase;
+  takes a `table.Partition` (object names, a block id per object, the
+  block sizes), not the knowledge base: `verify` passes a table or a set
+  partition of its sweep to `check_blocks`, so `verify --input` loads
+  neither the mask layer nor the sweep, and `check_axiom`, `check_all` and
+  `run_mutation` read one off a KnowledgeBase (`KnowledgeBase.partition`);
 * the brute engine enumerates every tuple of orthopairs while the tuple
   count fits in the budget and samples otherwise; a sampled run that finds
   no violation is reported as undecided, never as a pass.  It runs for
@@ -86,6 +86,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # the mask layer: imported by the brute engine only
+    from .table import Partition
     from .universe import KnowledgeBase, Universe
 
 Pair = tuple[int, int]
@@ -253,9 +254,9 @@ class AxiomReport(NamedTuple):
     cases_checked: int
     exhaustive: bool
     witness: tuple[Pair, ...] | None
-    # The knowledge base's universe; for a table, the table, whose `objects`
-    # are its ids in row order.
-    universe: Universe
+    # Its `objects` name a witness's objects: the partition checked, or kb's
+    # universe under the brute engine.
+    universe: Partition | Universe
 
     def witness_names(self) -> list[dict[str, list[str]]] | None:
         if self.witness is None:
@@ -286,12 +287,10 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"the budget must be at least 1, got {budget}")
 
 
-def _shape(kb: KnowledgeBase) -> tuple[int, list[int]]:
-    """The arguments of `check_blocks` that describe kb: |U| and the
-    positions of the objects of its first largest block."""
-    block = max(kb.blocks, key=len)
-    digits = bin(block.bits)[:1:-1]  # digit i is object i
-    return kb.universe.size, [i for i, digit in enumerate(digits) if digit == "1"]
+def _largest_block(partition: Partition) -> list[int]:
+    """The rows of the first largest block: where a counterexample goes."""
+    sizes = partition.block_sizes
+    return partition.rows(sizes.index(max(sizes)))
 
 
 def check_axiom(
@@ -316,7 +315,8 @@ def check_axiom(
         raise ValueError(f"unknown axiom {axiom_id!r}") from None
     _check_budget(budget)
     if ops is None and elements is None:
-        return _check_builtin(axiom, budget, None, *_shape(kb), kb.universe)
+        partition = kb.partition()
+        return _check_builtin(axiom, budget, None, _largest_block(partition), partition)
     if ops is None:
         ops = standard_ops(kb)
     return _check_brute(kb, axiom, budget, ops, elements, seed)
@@ -443,17 +443,10 @@ def _lift(
     return _pairs(filled, members, arity, outside)
 
 
-def _check_builtin(
-    axiom: Axiom,
-    budget: int,
-    mutation: str | None,
-    size: int,
-    members: Sequence[int],
-    universe: Universe,
-) -> AxiomReport:
+def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
+                   members: Sequence[int], partition: Partition) -> AxiomReport:
     """Check the operators pbzlogic builds, standard or a named mutation, on
-    a knowledge base of `size` objects whose first largest block holds the
-    objects at `members`; `universe` names the objects of a witness.
+    a partition whose first largest block holds the objects at `members`.
 
     An exact verdict reports as cases the tuples it covers, as the brute
     engine does.  The verdict is the one the first `budget` reduced cases
@@ -464,40 +457,36 @@ def _check_builtin(
     types = states**axiom.arity
     cap = 1 if axiom.pointwise else min(len(members), types)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
+    size = len(partition.objects)
     if failure is not None and checked <= budget:
         return AxiomReport(
             axiom.ident, "counterexample", checked, False,
-            _lift(size, members, failure, axiom.arity), universe,
+            _lift(size, members, failure, axiom.arity), partition,
         )
     if _reduced_cases(types, cap) > budget:
-        return AxiomReport(axiom.ident, "undecided", budget, False, None, universe)
+        return AxiomReport(axiom.ident, "undecided", budget, False, None, partition)
     total = states ** (size * axiom.arity)
-    return AxiomReport(axiom.ident, "holds", total, True, None, universe)
+    return AxiomReport(axiom.ident, "holds", total, True, None, partition)
 
 
-def check_blocks(
-    size: int,
-    members: Sequence[int],
-    universe: Universe,
-    budget: int = DEFAULT_BUDGET,
-    mutation: str | None = None,
-) -> list[AxiomReport]:
+def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,
+                 mutation: str | None = None) -> list[AxiomReport]:
     """Every axiom, under the standard operators or one documented
-    mutation, on a knowledge base of `size` objects whose first largest
-    block holds the objects at positions `members`.
+    mutation, on a partition: the reduced engine's one entry, which
+    `verify` runs on each table or set partition, and `check_all` and
+    `run_mutation` on `KnowledgeBase.partition()`.
 
-    This is the reduced engine's one entry; `check_axiom`, `check_all` and
-    `run_mutation` describe a KnowledgeBase to it, and `verify --input`
-    describes a table, whose ids it takes for `universe`.  By the module
-    docstring the verdicts depend only on the largest block, and the
-    members place a counterexample.  An unknown mutation or a budget below
-    1 is a ValueError.
+    By the module docstring the verdicts depend only on the largest block,
+    and the first largest block places a counterexample; the partition's
+    `objects` name it.  An unknown mutation or a budget below 1 is a
+    ValueError.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
     _check_budget(budget)
+    members = _largest_block(partition)
     return [
-        _check_builtin(axiom, budget, mutation, size, members, universe)
+        _check_builtin(axiom, budget, mutation, members, partition)
         for axiom in _AXIOM_LIST
     ]
 
@@ -510,7 +499,7 @@ def check_all(
     seed: int = 0,
 ) -> list[AxiomReport]:
     if ops is None and elements is None:
-        return check_blocks(*_shape(kb), kb.universe, budget)
+        return check_blocks(kb.partition(), budget)
     return [
         check_axiom(kb, ident, budget=budget, ops=ops, elements=elements, seed=seed)
         for ident in AXIOMS
@@ -560,16 +549,9 @@ def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
     raise ValueError(f"unknown mutation {name!r}")
 
 
-def _all_pairs_including_overlapping(size: int) -> Iterator[Pair]:
-    full = (1 << size) - 1
-    for a in range(full + 1):
-        for b in range(full + 1):
-            yield (a, b)
-
-
 def run_mutation(
     kb: KnowledgeBase, name: str, budget: int = DEFAULT_BUDGET
 ) -> list[AxiomReport]:
     """Run every axiom against one documented mutation, with the budget
     semantics of check_axiom."""
-    return check_blocks(*_shape(kb), kb.universe, budget, name)
+    return check_blocks(kb.partition(), budget, name)

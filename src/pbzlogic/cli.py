@@ -9,11 +9,12 @@ Subcommands:
 * ``list-logics``    show the built-in logics
 
 A table is read by `table.load_table`; `classify` builds its report in
-`report`.  `verify` and `validate-logic` decide a table from its block
-sizes, so `verify --input` loads only this module, the ingest, the region
-bits and the axiom engine.  Every JSON report is written here, as
-`json.dumps(report, indent=2, sort_keys=True)` would write it, without
-loading `json`.
+`report`.  `verify` and `validate-logic` take every knowledge base, a
+table or a set partition of a synthetic sweep, as a `table.Partition` and
+build no mask layer, so `verify --input` loads only this module, the
+ingest, the region bits and the axiom engine.  Every JSON report is
+written here, as `json.dumps(report, indent=2, sort_keys=True)` would
+write it, without loading `json`.
 
 Exit status: 0 on success, 1 on data and usage errors and on a closed
 stdout, 2 when an axiom or logic check fails or stays undecided.
@@ -35,6 +36,7 @@ from .table import (  # the ingest; these names stay importable from here
     DEFAULT_UNKNOWN,
     SCHEMA_VERSION,
     DataError,
+    Partition,
     Table,
     TableConfig,
     load_table,
@@ -44,14 +46,14 @@ from .table import (  # the ingest; these names stay importable from here
 if TYPE_CHECKING:  # each command imports the modules it uses
     from .axioms import AxiomReport
     from .logics import LogicSpec, LogicValidation
-    from .universe import KnowledgeBase, Universe
+    from .sevenvalued import TruthValue
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
-# Synthetic sweeps check one knowledge base per set partition of the
-# universe: Bell(8) = 4,140 of them.
+# Synthetic sweeps check one knowledge base per set partition of their
+# objects: Bell(8) = 4,140 of them.
 MAX_SYNTHETIC_SIZE = 8
 
 
@@ -59,26 +61,23 @@ MAX_SYNTHETIC_SIZE = 8
 # module's globals, so that the traced runs can wrap them here.
 
 
-def all_knowledge_bases(universe: Universe) -> Iterator[KnowledgeBase]:
-    """`sweep.all_knowledge_bases`, imported on first call so that
-    `classify` never loads the sweep; the synthetic runs look it up here."""
-    from .sweep import all_knowledge_bases
+def all_knowledge_bases(size: int) -> Iterator[Partition]:
+    """`sweep.all_partitions`, imported on first call so that `classify`
+    never loads the sweep.  The name stays until the tracer patches `sweep`
+    itself (ROADMAP.md, item 2)."""
+    from .sweep import all_partitions
 
-    return all_knowledge_bases(universe)
+    return all_partitions(size)
 
 
-def validate_logic(
-    spec: LogicSpec,
-    labels_of: dict,
-    block_sizes: list[int],
-    knowledge_base: Callable[[], KnowledgeBase],
-    budget: int | None,
-) -> LogicValidation:
+def validate_logic(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
+                   partition: Partition, budget: int | None) -> LogicValidation:
     """`logics.validate_blocks`, imported on first call so that `verify`
-    never loads the logics."""
+    never loads the logics.  The name stays until the tracer patches
+    `logics` itself (ROADMAP.md, item 2)."""
     from .logics import validate_blocks
 
-    return validate_blocks(spec, labels_of, block_sizes, knowledge_base, budget)
+    return validate_blocks(spec, labels_of, partition, budget)
 
 
 def build_classification_report(
@@ -255,7 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def runs() -> Iterator[tuple[str, bool, list[AxiomReport]]]:
         nonlocal failed
-        for label, reports in _axiom_reports(args, axioms, budget):
+        for label, partition in _partitions(args, args.sizes or "1,2,3,4", "--sizes"):
+            reports = axioms.check_blocks(partition, budget, args.mutate or None)
             ok = axioms.certified(reports)
             failed = failed or not ok
             yield label, ok, reports
@@ -265,29 +265,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _axiom_reports(args: argparse.Namespace, axioms,
-                   budget: int) -> Iterator[tuple[str, list[AxiomReport]]]:
-    """The label and axiom reports of each knowledge base `verify` checks,
-    one at a time.  A table is checked from its size and the rows of its
-    first largest block, with its ids as the names of a witness."""
+def _partitions(args: argparse.Namespace, sizes: str,
+                option: str) -> Iterator[tuple[str, Partition]]:
+    """The label and partition of each knowledge base that `verify` and
+    `validate-logic` check, one at a time: the `--input` table, else every
+    set partition of each size in the comma-separated `sizes` of `option`."""
     if args.input:
         table = load_table(args.input, _table_config(args))
-        yield f"table {args.input}", axioms.check_blocks(
-            len(table.objects), table.largest_block(), table, budget, args.mutate or None)
+        yield f"table {args.input}", Partition(*table[:3])
         return
-    from .sweep import default_universe
-
-    sizes = [
-        _parse_size(s, "--sizes", MAX_SYNTHETIC_SIZE)
-        for s in (args.sizes or "1,2,3,4").split(",")
-    ]
-    for size in sizes:
-        for i, kb in enumerate(all_knowledge_bases(default_universe(size))):
-            if args.mutate:
-                reports = axioms.run_mutation(kb, args.mutate, budget=budget)
-            else:
-                reports = axioms.check_all(kb, budget=budget)
-            yield f"size {size} partition {i}", reports
+    for size in [_parse_size(s, option, MAX_SYNTHETIC_SIZE) for s in sizes.split(",")]:
+        for i, partition in enumerate(all_knowledge_bases(size)):
+            yield f"size {size} partition {i}", partition
 
 
 def _write_runs_text(runs: Iterator[tuple[str, bool, list[AxiomReport]]], out: TextIO) -> None:
@@ -361,31 +350,14 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
 
     def results() -> Iterator[LogicValidation]:
         nonlocal failed
-        for block_sizes, knowledge_base in _knowledge_bases(args):
-            result = validate_logic(spec, labels_of, block_sizes, knowledge_base, args.budget)
+        for _, partition in _partitions(args, str(args.size), "--size"):
+            result = validate_logic(spec, labels_of, partition, args.budget)
             failed = failed or result.status != "valid"
             yield result
 
     write = _write_results_json if args.format == "json" else _write_results_text
     _exact_counts(write, results(), sys.stdout)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
-
-
-def _knowledge_bases(
-    args: argparse.Namespace,
-) -> Iterator[tuple[list[int], Callable[[], KnowledgeBase]]]:
-    """Each knowledge base `validate-logic` checks, one at a time, as its
-    block sizes and a builder of its mask layer, which only the witness of
-    an invalid verdict needs."""
-    if args.input:
-        table = load_table(args.input, _table_config(args))
-        yield table.block_sizes, table.knowledge_base
-        return
-    from .sweep import default_universe
-
-    size = _parse_size(str(args.size), "--size", MAX_SYNTHETIC_SIZE)
-    for kb in all_knowledge_bases(default_universe(size)):
-        yield [len(block) for block in kb.blocks], lambda kb=kb: kb
 
 
 def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None:

@@ -5,12 +5,14 @@ defined by a union of upward aggregations, a union of downward
 aggregations, or the intersection of one union of each kind.  A logic is
 valid on a knowledge base when its derived values partition the universe
 for every concept (orthopair).  `validate_blocks` decides that from the
-logic's seven-entry `value_table` and the block sizes, by the argument
-below: only the largest block and |U| matter, and only the witness of an
-invalid verdict needs the mask layer.  It takes a table's block sizes in
-`validate-logic --input`; `validate_logic` runs it on a KnowledgeBase.
-`_validate_brute` enumerates every concept and stays as the oracle the
-tests compare against.
+logic's seven-entry `value_table` and a `table.Partition` (object names,
+a block id per object, the block sizes), by the argument below: only the
+largest block and |U| matter, and an invalid verdict's witness and
+failure follow from its block ids.  `validate-logic` runs it on a table or
+on each set partition of its sweep; `validate_logic` runs it on
+`KnowledgeBase.partition()`.  `_validate_brute` enumerates every concept
+and stays, with `_partition_failure`, as the oracle the tests compare
+against.
 
 Why the seven-value rule is exact
 ---------------------------------
@@ -44,12 +46,13 @@ lifted to a witness concept: the construction of step 2 on the first
 smallest block that can take the value, with every object outside that
 block negative.  On that concept the block's objects have no single
 label, so the per-concept check that the enumerator runs finds the
-overlap or the uncovered objects.
+overlap or the uncovered objects.  Every other block meets only B and
+takes F, so by step 1 no evaluation is needed to find them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
@@ -63,6 +66,7 @@ from .sevenvalued import (
 
 if TYPE_CHECKING:  # the mask layer is imported where it is used
     from .orthopair import Orthopair
+    from .table import Partition
     from .universe import KnowledgeBase, ObjectSet
 
 BASE_SYMBOLS = tuple(v.symbol for v in TruthValue)
@@ -293,77 +297,91 @@ def _witness_block(block_sizes: Sequence[int], value: TruthValue) -> int:
                key=block_sizes.__getitem__)
 
 
-def _witness(kb: KnowledgeBase, block: int, value: TruthValue) -> Orthopair:
-    """A concept on which the given block of kb takes `value`: the block's
-    first objects go one into each region of the value, in the order
-    positive, negative, boundary, and the rest into the first of them;
-    every other object is negative.  The block has at least need(value)
-    objects."""
-    from .orthopair import Orthopair
-    from .universe import ObjectSet
+def _witness(partition: Partition, block: int, value: TruthValue) -> tuple[int, int, int]:
+    """The mask of the given block, and the positive and negative masks of a
+    concept on which it takes `value`: its first objects go one into each
+    region of the value, in the order positive, negative, boundary, and the
+    rest into the first of them; every other object is negative.  The block
+    has at least need(value) objects."""
+    from .universe import _mask
 
+    rows = partition.rows(block)
     regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
-    bits = kb.blocks[block].bits
-    masks = {POSITIVE: 0, NEGATIVE: kb.universe.full_mask & ~bits, BOUNDARY: 0}
-    rest, i = bits, 0
-    while rest:
-        low = rest & -rest  # the block's next object, in universe order
-        masks[regions[i] if i < len(regions) else regions[0]] |= low
-        rest ^= low
-        i += 1
-    return Orthopair(
-        ObjectSet(kb.universe, masks[POSITIVE]), ObjectSet(kb.universe, masks[NEGATIVE])
-    )
+    regions += regions[:1] * (len(rows) - len(regions))
+    size = len(partition.objects)
+    inside = _mask(rows, size)
+    positive, negative = (
+        _mask([i for i, r in zip(rows, regions) if r == region], size)
+        for region in (POSITIVE, NEGATIVE))
+    return inside, positive, ((1 << size) - 1) ^ inside | negative
+
+
+def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
+             partition: Partition, value: TruthValue, checked: int) -> LogicValidation:
+    """The verdict of the failing case `value`: its witness concept, and on
+    it the first overlap in spec order, or else the uncovered objects, as
+    `_partition_failure` finds them.  A derived value holds the witness
+    block if its label is in `labels_of[value]`, the others if in that of F."""
+    from .orthopair import Orthopair
+    from .universe import ObjectSet, Universe
+
+    inside, positive, negative = _witness(
+        partition, _witness_block(partition.block_sizes, value), value)
+    universe = Universe(tuple(partition.objects))
+    full = universe.full_mask
+    held: list[tuple[str, int]] = []  # each derived value's objects, in spec order
+    covered = 0
+    for label in spec.labels():
+        s = (inside if label in labels_of[value] else 0) | (
+            full ^ inside if label in labels_of[TruthValue.FALSE] else 0)
+        if covered & s:
+            other, t = next((other, t) for other, t in held if t & s)
+            failure = {"overlap": (other, label, ObjectSet(universe, t & s))}
+            break
+        held.append((label, s))
+        covered |= s
+    else:
+        failure = {"uncovered": ObjectSet(universe, full ^ covered)}
+    witness = Orthopair(ObjectSet(universe, positive), ObjectSet(universe, negative))
+    return LogicValidation(spec.name, "invalid", checked, True, witness=witness, **failure)
 
 
 def validate_blocks(
     spec: LogicSpec,
     labels_of: dict[TruthValue, tuple[str, ...]],
-    block_sizes: Sequence[int],
-    knowledge_base: Callable[[], KnowledgeBase],
+    partition: Partition,
     budget: int | None = None,
 ) -> LogicValidation:
     """Decide whether the logic partitions U for every orthopair over a
-    knowledge base with blocks of the given sizes.
+    partition: the one engine of `validate-logic` and `validate_logic`.
 
-    This is the one engine behind `validate_logic`, and `validate-logic`
-    runs it on a table's block sizes.  `labels_of` is `spec.value_table()`,
-    computed once by the caller.  Exact, by the rule in the module
-    docstring: each base value the largest block can take is a case, and
-    the logic is valid iff each case has exactly one label.  A valid logic
-    reports the 3^|U| concepts the verdict covers; an invalid one the cases
-    evaluated, up to the first failure, with its witness concept.  Only the
-    witness needs the mask layer: `knowledge_base()` builds it, once the
-    witness block is chosen from the sizes.  The budget truncates the case
+    `labels_of` is `spec.value_table()`, computed once by the caller.
+    Exact, by the rule in the module docstring: each base value the largest
+    block can take is a case, and the logic is valid iff each case has
+    exactly one label.  A valid logic reports the 3^|U| concepts the
+    verdict covers; an invalid one the cases evaluated, up to the first
+    failure, with its witness concept.  The budget truncates the case
     order: with more cases than the budget and no failure among the first
     `budget`, the verdict is undecided.  A budget below 1 is a ValueError.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
-    largest = max(block_sizes)
+    largest = max(partition.block_sizes)
     cases = [value for value in _CASE_ORDER if value.flag.bit_count() <= largest]
     for checked, value in enumerate(cases[:budget], 1):
         if len(labels_of[value]) != 1:
-            block = _witness_block(block_sizes, value)
-            kb = knowledge_base()
-            p = _witness(kb, block, value)
-            return LogicValidation(
-                spec.name, "invalid", checked, True,
-                witness=p, **_partition_failure(kb, spec, p),
-            )
+            return _invalid(spec, labels_of, partition, value, checked)
     if budget is not None and len(cases) > budget:
         return LogicValidation(spec.name, "undecided", budget, False)
-    return LogicValidation(spec.name, "valid", 3 ** sum(block_sizes), True)
+    return LogicValidation(spec.name, "valid", 3 ** len(partition.objects), True)
 
 
 def validate_logic(
     kb: KnowledgeBase, spec: LogicSpec, budget: int | None = None
 ) -> LogicValidation:
     """Decide whether the logic partitions U for every orthopair over kb:
-    `validate_blocks` on kb's block sizes."""
-    return validate_blocks(
-        spec, spec.value_table(), [len(block) for block in kb.blocks], lambda: kb, budget
-    )
+    `validate_blocks` on `kb.partition()`."""
+    return validate_blocks(spec, spec.value_table(), kb.partition(), budget)
 
 
 def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:

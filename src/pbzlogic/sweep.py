@@ -1,13 +1,15 @@
 """Exhaustive enumeration of subsets, orthopairs and set partitions.
 
 Everything here is meant for small universes: the number of orthopairs is
-3^|U| and the number of partitions is the Bell number of |U|.
+3^|U| and the number of partitions is the Bell number of |U|, each
+enumerated once as block ids (`_block_ids`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .table import Partition
 from .universe import KnowledgeBase, ObjectSet, Universe
 
 if TYPE_CHECKING:  # imported in `all_orthopairs`: the axiom engine, on masks, never loads it
@@ -38,25 +40,43 @@ def all_orthopairs(universe: Universe) -> Iterator[Orthopair]:
         yield Orthopair(ObjectSet(universe, a), ObjectSet(universe, b))
 
 
-def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    """All partitions of the given items into nonempty blocks."""
-    items = list(items)
-    if not items:
-        yield []
+def _block_ids(size: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The block of each of `size` items, and the block sizes, for every set
+    partition of them.  The first item joins each block of a partition of
+    the rest in turn, then opens a block of its own, numbered 0 ahead of
+    the others; so blocks are numbered in order of their last item."""
+    if not size:
+        yield (), []
         return
-    first, rest = items[0], items[1:]
-    for partial in set_partitions(rest):
-        for i in range(len(partial)):
-            yield partial[:i] + [[first] + partial[i]] + partial[i + 1 :]
-        yield [[first]] + partial
+    for rest, sizes in _block_ids(size - 1):
+        for b in range(len(sizes)):
+            yield (b, *rest), [*sizes[:b], sizes[b] + 1, *sizes[b + 1:]]
+        yield (0, *[b + 1 for b in rest]), [1, *sizes]
+
+
+def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
+    """All partitions of the given items into nonempty blocks, each block
+    at the position of its number in `_block_ids`."""
+    items = list(items)
+    for ids, sizes in _block_ids(len(items)):
+        blocks: list[list[str]] = [[] for _ in sizes]
+        for item, b in zip(items, ids):
+            blocks[b].append(item)
+        yield blocks
+
+
+def all_partitions(size: int) -> Iterator[Partition]:
+    """One `Partition` of the objects of `default_universe(size)` per set
+    partition, in the order and block numbering of `set_partitions`."""
+    objects = default_universe(size).objects
+    for ids, sizes in _block_ids(size):
+        yield Partition(objects, ids, sizes)
 
 
 def all_knowledge_bases(universe: Universe) -> Iterator[KnowledgeBase]:
     """One knowledge base per set partition of the universe."""
-    for blocks in set_partitions(universe.objects):
-        yield KnowledgeBase.from_partition(
-            universe, (universe.subset(block) for block in blocks)
-        )
+    for ids, _ in _block_ids(universe.size):
+        yield KnowledgeBase.from_block_ids(universe, ids)
 
 
 def default_universe(size: int) -> Universe:

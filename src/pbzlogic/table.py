@@ -2,9 +2,10 @@
 
 Every command that takes `--input` reads its table here.  A `Table` holds
 what the three commands need of the partition, all linear in the rows: a
-block id per row, the block sizes, and one region flag per block.  The
-truth values and the mask layer are imported only where a method needs
-them, so that `verify` loads neither.
+block id per row, the block sizes, and one region flag per block.  Its
+first three fields are a `Partition`, the one format in which `verify` and
+`validate-logic` take every knowledge base.  The truth values are imported
+only where a method needs them, so that `verify` never loads them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from array import array
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
 
 if TYPE_CHECKING:
     from .sevenvalued import TruthValue
-    from .universe import KnowledgeBase
 
 # The version of the JSON reports that the CLI writes for its tables.
 SCHEMA_VERSION = 1
@@ -56,6 +56,22 @@ class TableConfig(NamedTuple):
         }
 
 
+class Partition(NamedTuple):
+    """A knowledge base as `verify` and `validate-logic` take it: object i,
+    named `objects[i]`, lies in block `block_ids[i]`, and block b holds
+    `block_sizes[b]` objects.  A `Table` starts with the same three fields
+    (`Partition(*table[:3])`); `sweep.all_partitions` yields one per set
+    partition, and `KnowledgeBase.partition()` reads one off the mask layer."""
+
+    objects: Sequence[str]
+    block_ids: Sequence[int]
+    block_sizes: list[int]
+
+    def rows(self, block: int) -> list[int]:
+        """The positions of the objects of the given block, in order."""
+        return [i for i, b in enumerate(self.block_ids) if b == block]
+
+
 class Table(NamedTuple):
     """A decision table reduced to what its seven-valued classification needs.
 
@@ -78,21 +94,6 @@ class Table(NamedTuple):
         from .sevenvalued import BY_FLAG
 
         return [BY_FLAG[flag] for flag in self.flags]
-
-    def largest_block(self) -> list[int]:
-        """The rows of the first largest block, in row order: where
-        `verify` places a counterexample."""
-        sizes = self.block_sizes
-        block = sizes.index(max(sizes))
-        return [row for row, b in enumerate(self.block_ids) if b == block]
-
-    def knowledge_base(self) -> KnowledgeBase:
-        """The table's partition in the mask layer: |U|-bit block masks, as
-        `from_attributes` builds.  `validate-logic` builds it only to lift
-        an invalid verdict to a witness."""
-        from .universe import KnowledgeBase, Universe
-
-        return KnowledgeBase.from_block_ids(Universe(tuple(self.objects)), self.block_ids)
 
 
 def _token_flags(config: TableConfig) -> dict[str, int]:

@@ -6,6 +6,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
+from .table import Partition
 
 
 class UniverseMismatchError(ValueError):
@@ -228,6 +229,11 @@ class KnowledgeBase(FrozenRecord):
                 out[i] = bi
                 i = digits.find("1", i + 1)
         return tuple(out)
+
+    def partition(self) -> Partition:
+        """kb in the format of the `verify` and `validate-logic` engines."""
+        return Partition(self.universe.objects, self.block_index,
+                         [len(block) for block in self.blocks])
 
     def block_of(self, name: str) -> ObjectSet:
         """The equivalence class of the named object."""

@@ -12,8 +12,10 @@ from pathlib import Path
 
 from pbzlogic import (
     MUTATIONS,
+    KnowledgeBase,
     Orthopair,
     TruthValue,
+    Universe,
     all_knowledge_bases,
     all_orthopairs,
     belnap_from_arguments,
@@ -137,7 +139,7 @@ def _demo_concept(universe):
 
 def test_acceptance_6_six_object_fixture_vs_oracle():
     table = load_table(DEMO_CSV)
-    kb = table.knowledge_base()
+    kb = KnowledgeBase.from_block_ids(Universe(tuple(table.objects)), table.block_ids)
     pair = _demo_concept(kb.universe)
     blocks = [frozenset(block) for block in kb.blocks]
     expected = oracle_parts(blocks, frozenset(pair.positive), frozenset(pair.negative))

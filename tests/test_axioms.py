@@ -15,12 +15,17 @@ from pbzlogic import (
     run_mutation,
 )
 from pbzlogic import axioms
-from pbzlogic.axioms import (
-    _all_pairs_including_overlapping,
-    mutated_ops,
-    standard_ops,
-)
+from pbzlogic.axioms import mutated_ops, standard_ops
 from pbzlogic.sweep import all_orthopair_masks
+
+
+def _all_pairs_including_overlapping(size: int):
+    """Every pair of masks over `size` positions, overlapping ones too: the
+    elements of the drop-disjointness mutation for the brute engine."""
+    full = (1 << size) - 1
+    for a in range(full + 1):
+        for b in range(full + 1):
+            yield (a, b)
 
 
 @pytest.fixture

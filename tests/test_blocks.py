@@ -24,7 +24,7 @@ from pbzlogic import (
     validate_logic,
 )
 from pbzlogic.axioms import DEFAULT_BUDGET, check_blocks
-from pbzlogic.cli import load_table, main
+from pbzlogic.cli import Partition, load_table, main
 from pbzlogic.logics import validate_blocks
 
 SIZES = [1, 2, 3, 4, 5]
@@ -79,14 +79,14 @@ def test_verify_table_matches_knowledge_base(tmp_path, capsys, size):
     for data, kb in _tables(size):
         path.write_bytes(data)
         table = load_table(path)
-        members = table.largest_block()
+        partition = Partition(*table[:3])
         # the objects in the same order, so equal witness masks name equal objects
         assert tuple(table.objects) == kb.universe.objects
         for mutation in (None, *MUTATIONS):
             # every budget up to one past the most reduced cases
-            for budget in range(1, _most_cases(mutation, len(members)) + 2):
+            for budget in range(1, _most_cases(mutation, max(table.block_sizes)) + 2):
                 expected = _reports(kb, mutation, budget)
-                got = check_blocks(size, members, table, budget, mutation)
+                got = check_blocks(partition, budget, mutation)
                 assert [r[:5] for r in got] == [r[:5] for r in expected], (
                     data, mutation, budget)
                 statuses |= {r.status for r in got}
@@ -112,8 +112,7 @@ def test_validate_logic_table_matches_knowledge_base(tmp_path, capsys, size):
             labels_of = spec.value_table()
             for budget in (None, *range(1, 9)):  # at most 7 cases
                 expected = validate_logic(kb, spec, budget)
-                got = validate_blocks(spec, labels_of, table.block_sizes,
-                                      table.knowledge_base, budget)
+                got = validate_blocks(spec, labels_of, Partition(*table[:3]), budget)
                 assert got.to_dict() == expected.to_dict(), (data, spec.name, budget)
                 statuses.add(got.status)
             spec_path = tmp_path / "spec.json"

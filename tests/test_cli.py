@@ -13,6 +13,7 @@ import pytest
 
 import pbzlogic
 from pbzlogic import (
+    KnowledgeBase,
     LogicSpec,
     ValueDef,
     all_knowledge_bases,
@@ -624,7 +625,11 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
         assert not loaded & {"json", "json.decoder", "hashlib", "dataclasses"}
 
 
-def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv):
+# A logic with no label for U, nor for any value but T.
+GAPPY = LogicSpec("gappy", (ValueDef("yes", up=("T",)),))
+
+
+def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
     for fmt in ("text", "json"):
         code, out, loaded = _loaded_by(
             ["validate-logic", "--logic", "triage", "--input", str(demo_csv), "--format", fmt])
@@ -633,13 +638,47 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv):
             assert out == "triage: valid (checked 729 concepts, exhaustive)\n"
         else:
             assert json.loads(out)["results"][0]["status"] == "valid"
-        # a valid verdict needs the block sizes only: the mask layer builds the
-        # witness of an invalid one, and the concept enumerator (`sweep`) is
-        # the test oracle only
+        # a valid verdict needs the block sizes only, and the concept
+        # enumerator (`sweep`) is the test oracle only
         assert not loaded & {
             "dataclasses", "json", "json.decoder", "pbzlogic.universe", "pbzlogic.orthopair",
             "pbzlogic.sweep",
         }
+    # an invalid verdict wraps its witness's masks in the mask layer's sets,
+    # and reads the spec file with `json`, but still never loads the sweep
+    spec = tmp_path / "gappy.json"
+    spec.write_text(GAPPY.to_json())
+    code, out, loaded = _loaded_by(
+        ["validate-logic", "--logic", str(spec), "--input", str(demo_csv)])
+    assert code == 2
+    assert out.startswith("gappy: invalid (checked 2 cases, exhaustive)\n")
+    assert not loaded & {"dataclasses", "pbzlogic.sweep"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--sizes", "1,2,3,4"], 0),
+        (["verify", "--sizes", "4", "--mutate", "pawlak-upper-on-both", "--budget", "20"], 2),
+        (["validate-logic", "--logic", "triage", "--size", "4"], 0),
+        (["validate-logic", "--logic", "GAPPY", "--size", "4"], 2),
+        (["validate-logic", "--logic", "GAPPY", "--input", str(DEMO_CSV)], 2),
+    ],
+    ids=["verify-sweep", "verify-mutation", "validate-sweep", "validate-sweep-invalid",
+         "validate-input-invalid"],
+)
+def test_no_command_builds_a_knowledge_base(capsys, monkeypatch, tmp_path, argv, code):
+    """Every knowledge base reaches the engines as a `Partition`: block ids
+    and sizes, never the mask layer's `KnowledgeBase`."""
+    spec = tmp_path / "gappy.json"
+    spec.write_text(GAPPY.to_json())
+    argv = [str(spec) if arg == "GAPPY" else arg for arg in argv]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a KnowledgeBase")
+
+    monkeypatch.setattr(KnowledgeBase, "__init__", refuse)
+    assert run(capsys, *argv)[0] == code
 
 
 def test_no_submodule_imports_dataclasses():

@@ -5,6 +5,7 @@ import pytest
 from pbzlogic import (
     KnowledgeBase,
     LogicSpec,
+    ObjectSet,
     Orthopair,
     TruthValue,
     ValueDef,
@@ -19,7 +20,14 @@ from pbzlogic import (
     evaluate_logic,
     validate_logic,
 )
-from pbzlogic.logics import _CASE_ORDER, BASE_SYMBOLS, _validate_brute, _witness, _witness_block
+from pbzlogic.logics import (
+    _CASE_ORDER,
+    BASE_SYMBOLS,
+    _partition_failure,
+    _validate_brute,
+    _witness,
+    _witness_block,
+)
 
 V = TruthValue
 
@@ -174,6 +182,7 @@ def test_case_regions_match_the_classifier():
     # positive, negative, boundary, and the rest into the first; every
     # other object is negative.  The witness block takes the case's value.
     kb = KnowledgeBase.from_block_ids(default_universe(6), [0, 1, 1, 1, 2, 2])
+    u = kb.universe
     witnesses = {  # symbol: witness block, positive objects, negative objects
         "T": (0, "o1", "o2 o3 o4 o5 o6"),
         "U": (0, "", "o2 o3 o4 o5 o6"),
@@ -187,7 +196,9 @@ def test_case_regions_match_the_classifier():
     for value in _CASE_ORDER:
         block, positive, negative = witnesses[value.symbol]
         assert _witness_block([1, 3, 2], value) == block
-        p = _witness(kb, block, value)
+        inside, pos, neg = _witness(kb.partition(), block, value)
+        assert inside == kb.blocks[block].bits
+        p = Orthopair(ObjectSet(u, pos), ObjectSet(u, neg))
         assert (list(p.positive), list(p.negative)) == (positive.split(), negative.split())
         assert block_values(kb, p)[block] is value
 
@@ -329,4 +340,13 @@ def test_rule_agrees_with_enumeration(size, specs):
             else:
                 assert result.uncovered.bits
                 assert all(assignment.labels_of(name) == () for name in result.uncovered)
+            # exactly the failure the per-concept check finds on the witness,
+            # whose block takes the failing case's value
+            failure = {key: getattr(result, key) for key in ("overlap", "uncovered")
+                       if getattr(result, key) is not None}
+            assert failure == _partition_failure(kb, spec, result.witness)
+            sizes = [len(block) for block in kb.blocks]
+            cases = [v for v in _CASE_ORDER if v.flag.bit_count() <= max(sizes)]
+            value = cases[result.checked - 1]
+            assert block_values(kb, result.witness)[_witness_block(sizes, value)] is value
     assert statuses == {"valid", "invalid"}

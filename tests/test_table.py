@@ -67,7 +67,7 @@ def _check_agreement(rows):
     assert table.block_sizes == [len(block) for block in kb.blocks]
     assert table.block_values() == block_values(kb, pair)
     assert list(table.firsts) == [kb.block_index.index(b) for b in range(len(kb.blocks))]
-    assert table.knowledge_base() == kb
+    assert kb.partition() == (tuple(table.objects), tuple(table.block_ids), table.block_sizes)
     return table, kb, pair
 
 

@@ -10,8 +10,9 @@ from pbzlogic import (
     UniverseMismatchError,
     all_knowledge_bases,
     default_universe,
+    set_partitions,
 )
-from pbzlogic.sweep import all_subset_masks
+from pbzlogic.sweep import all_partitions, all_subset_masks
 
 from .oracle import oracle_lower, oracle_upper
 
@@ -185,6 +186,27 @@ def test_block_index_names_each_objects_block(size):
         assert len(kb.block_index) == size
         for i, block in enumerate(kb.block_index):
             assert kb.blocks[block].bits >> i & 1
+
+
+def test_set_partition_order_is_pinned():
+    """The sweeps label "partition i" in this order, and pick a witness by
+    block position (the first largest or smallest block), so both orders
+    are pinned: `all_knowledge_bases` and `all_partitions` number blocks as
+    `set_partitions` lists them, by their last object."""
+    assert list(set_partitions(["a", "b", "c"])) == [
+        [["a", "b", "c"]],
+        [["a"], ["b", "c"]],
+        [["a", "b"], ["c"]],
+        [["b"], ["a", "c"]],
+        [["a"], ["b"], ["c"]],
+    ]
+    u = default_universe(4)
+    listed = list(set_partitions(u.objects))
+    # a tie that numbering by first object would swap
+    assert listed[6] == [["o2", "o3"], ["o1", "o4"]]
+    kbs = list(all_knowledge_bases(u))
+    assert [[list(block) for block in kb.blocks] for kb in kbs] == listed
+    assert list(all_partitions(4)) == [kb.partition() for kb in kbs]
 
 
 def _derived_block_index(kb):
