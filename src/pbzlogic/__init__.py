@@ -23,7 +23,7 @@ _MODULE_OF = {
     "ObjectSet": "universe",
     "Orthopair": "orthopair",
     "SevenPartition": "sevenvalued",
-    "TermError": "orthopair",
+    "TermError": "axioms",
     "TruthValue": "sevenvalued",
     "Universe": "universe",
     "UniverseMismatchError": "universe",

@@ -16,10 +16,17 @@ engines reach a verdict:
   neither the mask layer nor the sweep, and `check_axiom`, `check_all` and
   `run_mutation` read one off a KnowledgeBase (`KnowledgeBase.partition`);
 * the brute engine enumerates every tuple of orthopairs while the tuple
-  count fits in the budget and samples otherwise; a sampled run that finds
-  no violation is reported as undecided, never as a pass.  It runs for
+  count, 3^(|U| * arity), fits in the budget and samples otherwise, one
+  uniform state per object and variable; a sampled run that finds no
+  violation is reported as undecided, never as a pass.  It runs for
   caller-supplied operators or elements, and in the tests as the oracle of
   the reduced engine.
+
+Each axiom is its equation in the term syntax of `orthopair.eval_term`
+(`_AXIOM_LIST`), compiled once into a function of mask pairs that takes
+its operators from a LatticeOps, so every mutation applies to it.  Its
+arity is the number of its variables; it is pointwise when no word
+applies ``L``.
 
 Why the reduction is exact
 --------------------------
@@ -83,7 +90,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # the mask layer: imported by the brute engine only
     from .table import Partition
@@ -96,10 +103,11 @@ DEFAULT_BUDGET = 2_000_000
 
 class LatticeOps(NamedTuple):
     """Raw orthopair operations over bit masks; the disjointness invariant
-    is not enforced at this level."""
+    is not enforced at this level.  `lower(mask)` is the lower
+    approximation of a mask."""
 
     full: int
-    lower_table: tuple[int, ...]
+    lower: Callable[[int], int]
     meet: Callable[[Pair, Pair], Pair]
     join: Callable[[Pair, Pair], Pair]
     kleene: Callable[[Pair], Pair]
@@ -114,24 +122,35 @@ class LatticeOps(NamedTuple):
     def top(self) -> Pair:
         return (self.full, 0)
 
-    def lower(self, mask: int) -> int:
-        return self.lower_table[mask]
-
     def upper(self, mask: int) -> int:
-        return self.full ^ self.lower_table[self.full ^ mask]
+        return self.full ^ self.lower(self.full ^ mask)
 
     def leq(self, p: Pair, q: Pair) -> bool:
         return self.meet(p, q) == p
 
 
 def standard_ops(kb: KnowledgeBase) -> LatticeOps:
-    full = kb.universe.full_mask
-    return _ops(full, tuple(kb.lower_mask(m) for m in range(full + 1)))
+    """The standard operators of kb; each lower approximation is computed
+    by a block scan when first asked for, so nothing is built in 2^|U|."""
+    return _ops(kb.universe.full_mask, _Memo(kb.lower_mask).__getitem__)
 
 
-def _ops(full: int, table: tuple[int, ...]) -> LatticeOps:
-    """The standard operators on masks within `full`, where `table[m]` is
-    the lower approximation of the mask m."""
+class _Memo(dict):
+    """The values of `fn`, each computed on its first lookup: a bound
+    `__getitem__` is a faster memo than `functools.cache`."""
+
+    def __init__(self, fn: Callable[[int], int]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _ops(full: int, lower: Callable[[int], int]) -> LatticeOps:
+    """The standard operators on masks within `full`, with `lower` as the
+    lower approximation."""
 
     def meet(p: Pair, q: Pair) -> Pair:
         return (p[0] & q[0], p[1] | q[1])
@@ -146,9 +165,9 @@ def _ops(full: int, table: tuple[int, ...]) -> LatticeOps:
         return (p[1], full ^ p[1])
 
     def pawlak(p: Pair) -> Pair:
-        return (table[p[0]], table[p[1]])
+        return (lower(p[0]), lower(p[1]))
 
-    return LatticeOps(full, table, meet, join, kleene, brouwer, pawlak)
+    return LatticeOps(full, lower, meet, join, kleene, brouwer, pawlak)
 
 
 def all_orthopair_masks(size: int) -> Iterator[Pair]:
@@ -157,6 +176,117 @@ def all_orthopair_masks(size: int) -> Iterator[Pair]:
     from .sweep import all_orthopair_masks
 
     return all_orthopair_masks(size)
+
+
+# --- operator terms and equations -------------------------------------------
+
+
+class TermError(ValueError):
+    """Malformed operator term."""
+
+
+# The letters of a postfix word and the LatticeOps operator each applies.
+_WORD_OPS = {"-": "kleene", "~": "brouwer", "L": "pawlak"}
+
+
+class _Parser:
+    """Recursive descent over terms and equations, writing each one as a
+    Python expression in the operators `o` of a LatticeOps.
+
+    formula   := relations ["=>" relations]
+    relations := relation {"," relation}
+    relation  := term ("=" | "<=") term
+    term      := meet {"|" meet}
+    meet      := atom {"&" atom}
+    atom      := (variable | "0" | "1" | "(" term ")") ["^"] {"-" | "~" | "L"}
+    """
+
+    def __init__(self, text: str, variables: str) -> None:
+        self.text = text.replace(" ", "")
+        self.pos = 0
+        self.atoms = {"0": "o.bottom", "1": "o.top", **{v: v for v in variables}}
+
+    def _accept(self, token: str) -> bool:
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def _error(self, what: str) -> TermError:
+        return TermError(f"{what} at position {self.pos} in {self.text!r}")
+
+    def parse(self, rule: Callable[[], str]) -> str:
+        code = rule()
+        if self.pos != len(self.text):
+            raise self._error("trailing input")
+        return code
+
+    def formula(self) -> str:
+        code = self._relations()
+        if self._accept("=>"):
+            code = f"not ({code}) or ({self._relations()})"
+        return code
+
+    def _relations(self) -> str:
+        code = self._relation()
+        while self._accept(","):
+            code += " and " + self._relation()
+        return code
+
+    def _relation(self) -> str:
+        left = self.term()
+        if self._accept("<="):
+            return f"o.leq({left}, {self.term()})"
+        if not self.text.startswith("=>", self.pos) and self._accept("="):
+            return f"{left} == {self.term()}"
+        raise self._error("expected '=' or '<='")
+
+    def term(self) -> str:
+        code = self._meet()
+        while self._accept("|"):
+            code = f"o.join({code}, {self._meet()})"
+        return code
+
+    def _meet(self) -> str:
+        code = self._atom()
+        while self._accept("&"):
+            code = f"o.meet({code}, {self._atom()})"
+        return code
+
+    def _atom(self) -> str:
+        ch = self.text[self.pos : self.pos + 1]
+        if self._accept("("):
+            code = self.term()
+            if not self._accept(")"):
+                raise self._error("missing ')'")
+        elif ch in self.atoms:
+            self.pos += 1
+            code = self.atoms[ch]
+        else:
+            raise self._error(f"unexpected {ch!r}")
+        if self._accept("^") and self.text[self.pos : self.pos + 1] not in _WORD_OPS:
+            raise self._error("empty word after '^'")
+        while (ch := self.text[self.pos : self.pos + 1]) in _WORD_OPS:
+            self.pos += 1
+            code = f"o.{_WORD_OPS[ch]}({code})"
+        return code
+
+
+def _function(params: str, code: str) -> Callable:
+    """`lambda o, <params>: <code>`.  The code holds only names that the
+    parser writes, never text of its input, and sees no builtins."""
+    return eval(f"lambda {', '.join(('o', *params))}: {code}", {"__builtins__": {}})
+
+
+@functools.lru_cache(maxsize=256)
+def compile_term(term: str) -> Callable[[LatticeOps, Pair], Pair]:
+    """The function (ops, a) -> pair that a term in the one variable `a`
+    computes; a bare word over ``-``, ``~`` and ``L`` means ``a^word``."""
+    text = term.replace(" ", "")
+    if all(ch in _WORD_OPS for ch in text):
+        text = "a" + text
+    parser = _Parser(text, "a")
+    return _function("a", parser.parse(parser.term))
 
 
 class Axiom(NamedTuple):
@@ -168,82 +298,37 @@ class Axiom(NamedTuple):
     pointwise: bool
 
 
-def _implies(hyp: bool, con: bool) -> bool:
-    return con if hyp else True
+def _axiom(ident: str, equation: str) -> Axiom:
+    """An axiom from its equation: its arity is the number of its
+    variables, and it is pointwise when no word applies L."""
+    parser = _Parser(equation, "abc")
+    params = "".join(sorted(set(equation) & set("abc")))
+    predicate = _function(params, parser.parse(parser.formula))
+    return Axiom(ident, len(params), equation, predicate, "L" not in equation)
 
 
-def _distributivity(o: LatticeOps, p: Pair, q: Pair, r: Pair) -> bool:
-    return o.meet(p, o.join(q, r)) == o.join(o.meet(p, q), o.meet(p, r)) and o.join(
-        p, o.meet(q, r)
-    ) == o.meet(o.join(p, q), o.join(p, r))
-
-
-_AXIOM_LIST = (
-    Axiom("bounds", 1, "0 <= a <= 1",
-          lambda o, p: o.leq(o.bottom, p) and o.leq(p, o.top),
-          pointwise=True),
-    Axiom("distributivity", 3, "meet and join distribute over each other",
-          _distributivity,
-          pointwise=True),
-    Axiom("K1", 1, "Kleene negation is an involution",
-          lambda o, p: o.kleene(o.kleene(p)) == p,
-          pointwise=True),
-    Axiom("K2", 2, "Kleene negation swaps join and meet",
-          lambda o, p, q: o.kleene(o.join(p, q)) == o.meet(o.kleene(p), o.kleene(q)),
-          pointwise=True),
-    Axiom("K3", 2, "a ∧ a' <= b ∨ b'",
-          lambda o, p, q: o.leq(o.meet(p, o.kleene(p)), o.join(q, o.kleene(q))),
-          pointwise=True),
-    Axiom("B1", 1, "a ∧ a~~ = a",
-          lambda o, p: o.meet(p, o.brouwer(o.brouwer(p))) == p,
-          pointwise=True),
-    Axiom("B2", 2, "(a ∨ b)~ = a~ ∧ b~",
-          lambda o, p, q: o.brouwer(o.join(p, q)) == o.meet(o.brouwer(p), o.brouwer(q)),
-          pointwise=True),
-    Axiom("B3", 1, "a ∧ a~ = 0",
-          lambda o, p: o.meet(p, o.brouwer(p)) == o.bottom,
-          pointwise=True),
-    Axiom("in", 1, "a~ <= a'",
-          lambda o, p: o.leq(o.brouwer(p), o.kleene(p)),
-          pointwise=True),
-    Axiom("s-in", 1, "a~~ = a~'",
-          lambda o, p: o.brouwer(o.brouwer(p)) == o.kleene(o.brouwer(p)),
-          pointwise=True),
-    Axiom("B2a", 2, "(a ∧ b)~ = a~ ∨ b~",
-          lambda o, p, q: o.brouwer(o.meet(p, q)) == o.join(o.brouwer(p), o.brouwer(q)),
-          pointwise=True),
-    Axiom("A1", 1, "approximation commutes with Kleene negation",
-          lambda o, p: o.kleene(o.pawlak(p)) == o.pawlak(o.kleene(p)),
-          pointwise=False),
-    Axiom("A2", 2, "a <= b implies b^A~ <= a^A~",
-          lambda o, p, q: _implies(
-              o.leq(p, q), o.leq(o.brouwer(o.pawlak(q)), o.brouwer(o.pawlak(p)))),
-          pointwise=False),
-    Axiom("A3", 1, "a^A~ <= a~",
-          lambda o, p: o.leq(o.brouwer(o.pawlak(p)), o.brouwer(p)),
-          pointwise=False),
-    Axiom("A4", 0, "0^A = 0",
-          lambda o: o.pawlak(o.bottom) == o.bottom,
-          pointwise=False),
-    Axiom("A5", 2, "a~ = b~ implies a^A ∧ b^A = (a ∧ b)^A",
-          lambda o, p, q: _implies(
-              o.brouwer(p) == o.brouwer(q),
-              o.meet(o.pawlak(p), o.pawlak(q)) == o.pawlak(o.meet(p, q))),
-          pointwise=False),
-    Axiom("A6", 2, "a^A ∨ b^A <= (a ∨ b)^A",
-          lambda o, p, q: o.leq(o.join(o.pawlak(p), o.pawlak(q)), o.pawlak(o.join(p, q))),
-          pointwise=False),
-    Axiom("A7", 1, "approximation is idempotent",
-          lambda o, p: o.pawlak(o.pawlak(p)) == o.pawlak(p),
-          pointwise=False),
-    Axiom("A8", 1, "a^A~A = a^A~",
-          lambda o, p: o.pawlak(o.brouwer(o.pawlak(p))) == o.brouwer(o.pawlak(p)),
-          pointwise=False),
-    Axiom("A9", 2, "(a^A ∧ b^A)^A = a^A ∧ b^A",
-          lambda o, p, q: o.pawlak(o.meet(o.pawlak(p), o.pawlak(q)))
-          == o.meet(o.pawlak(p), o.pawlak(q)),
-          pointwise=False),
-)
+_AXIOM_LIST = tuple(_axiom(ident, equation) for ident, equation in (
+    ("bounds", "0 <= a, a <= 1"),
+    ("distributivity", "a & (b | c) = (a & b) | (a & c), a | (b & c) = (a | b) & (a | c)"),
+    ("K1", "a^-- = a"),
+    ("K2", "(a | b)^- = a^- & b^-"),
+    ("K3", "a & a^- <= b | b^-"),
+    ("B1", "a & a^~~ = a"),
+    ("B2", "(a | b)^~ = a^~ & b^~"),
+    ("B3", "a & a^~ = 0"),
+    ("in", "a^~ <= a^-"),
+    ("s-in", "a^~~ = a^~-"),
+    ("B2a", "(a & b)^~ = a^~ | b^~"),
+    ("A1", "a^L- = a^-L"),
+    ("A2", "a <= b => b^L~ <= a^L~"),
+    ("A3", "a^L~ <= a^~"),
+    ("A4", "0^L = 0"),
+    ("A5", "a^~ = b^~ => a^L & b^L = (a & b)^L"),
+    ("A6", "a^L | b^L <= (a | b)^L"),
+    ("A7", "a^LL = a^L"),
+    ("A8", "a^L~L = a^L~"),
+    ("A9", "(a^L & b^L)^L = a^L & b^L"),
+))
 
 AXIOMS: dict[str, Axiom] = {axiom.ident: axiom for axiom in _AXIOM_LIST}
 
@@ -322,40 +407,36 @@ def check_axiom(
     return _check_brute(kb, axiom, budget, ops, elements, seed)
 
 
-def _check_brute(
-    kb: KnowledgeBase,
-    axiom: Axiom,
-    budget: int,
-    ops: LatticeOps,
-    elements: Sequence[Pair] | None,
-    seed: int,
-) -> AxiomReport:
-    """Enumerate (or, over budget, sample) every tuple of elements."""
+def _check_brute(kb: KnowledgeBase, axiom: Axiom, budget: int, ops: LatticeOps,
+                 elements: Sequence[Pair] | None, seed: int) -> AxiomReport:
+    """Enumerate (or, over budget, sample) every tuple of elements: the
+    given ones, or else the orthopairs of kb's universe, which are counted
+    and sampled without being listed."""
     import random  # here, so that `verify`, which never samples, does not load it
 
-    axiom_id = axiom.ident
-    elems = list(elements) if elements is not None else list(
-        all_orthopair_masks(kb.universe.size)
-    )
-    total = len(elems) ** axiom.arity
+    size, arity = kb.universe.size, axiom.arity
+    elems = None if elements is None else list(elements)
+    total = 3 ** (size * arity) if elems is None else len(elems) ** arity
+    exact = total <= budget
+    if exact:
+        tuples: Iterable[tuple[Pair, ...]] = itertools.product(
+            all_orthopair_masks(size) if elems is None else elems, repeat=arity)
+    else:
+        rng = random.Random(seed)
+        # an orthopair tuple drawn uniformly gives each object a uniform type
+        types = list(itertools.product(range(3), repeat=arity))
+        tuples = (
+            _pairs(rng.choices(types, k=size), range(size), arity) if elems is None
+            else tuple(rng.choice(elems) for _ in range(arity))
+            for _ in range(budget)
+        )
     checked = 0
-    if total <= budget:
-        for tup in itertools.product(elems, repeat=axiom.arity):
-            checked += 1
-            if not axiom.predicate(ops, *tup):
-                return AxiomReport(
-                    axiom_id, "counterexample", checked, False, tup, kb.universe
-                )
-        return AxiomReport(axiom_id, "holds", checked, True, None, kb.universe)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        tup = tuple(rng.choice(elems) for _ in range(axiom.arity))
+    for tup in tuples:
         checked += 1
         if not axiom.predicate(ops, *tup):
-            return AxiomReport(
-                axiom_id, "counterexample", checked, False, tup, kb.universe
-            )
-    return AxiomReport(axiom_id, "undecided", checked, False, None, kb.universe)
+            return AxiomReport(axiom.ident, "counterexample", checked, False, tup, kb.universe)
+    return AxiomReport(axiom.ident, "holds" if exact else "undecided", checked, exact, None,
+                       kb.universe)
 
 
 # --- reduced engine (module docstring, steps 1-4) ------------------------------
@@ -404,7 +485,7 @@ def _block_ops(size: int, mutation: str | None) -> LatticeOps:
     objects.  They need only its two masks: the lower approximation of a
     mask is the whole block if the mask is, and nothing otherwise."""
     full = (1 << size) - 1
-    ops = _ops(full, (0,) * full + (full,))
+    ops = _ops(full, lambda m: full if m == full else 0)
     return ops if mutation is None else _mutate(ops, mutation)
 
 
@@ -529,15 +610,11 @@ def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
 
 def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
     """`ops` with the one operator that the named mutation replaces."""
-    full = ops.full
-    table = ops.lower_table
-
+    lower, upper = ops.lower, ops.upper
     if name == "pawlak-upper-on-negative":
-        return ops._replace(pawlak=lambda p: (table[p[0]], full ^ table[full ^ p[1]]))
+        return ops._replace(pawlak=lambda p: (lower(p[0]), upper(p[1])))
     if name == "pawlak-upper-on-both":
-        return ops._replace(
-            pawlak=lambda p: (full ^ table[full ^ p[0]], full ^ table[full ^ p[1]]),
-        )
+        return ops._replace(pawlak=lambda p: (upper(p[0]), upper(p[1])))
     if name == "kleene-identity":
         return ops._replace(kleene=lambda p: p)
     if name == "brouwer-as-kleene":

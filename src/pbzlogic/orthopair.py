@@ -3,8 +3,9 @@
 An orthopair holds a positive region (certainly in the concept) and a
 negative region (certainly out); the rest of the universe is the boundary.
 The operations here are the meet, join, Kleene and Brouwer negations and
-the lower-approximation (Pawlak) operator, plus a small evaluator for
-composite operator terms.
+the lower-approximation (Pawlak) operator.  `eval_term` evaluates a
+composite operator term on an orthopair through the axiom engine's term
+evaluator (`axioms.compile_term`), which works on raw mask pairs.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from typing import Iterable
 
 from ._record import FrozenRecord
 from .universe import KnowledgeBase, ObjectSet, Universe, UniverseMismatchError
-
-
-class TermError(ValueError):
-    """Malformed operator term."""
 
 
 class Orthopair(FrozenRecord):
@@ -96,22 +93,6 @@ def leq(p: Orthopair, q: Orthopair) -> bool:
     return meet(p, q) == p
 
 
-_WORD_CHARS = frozenset("-~L")
-
-
-def _apply_word(kb: KnowledgeBase, p: Orthopair, word: str) -> Orthopair:
-    for ch in word:
-        if ch == "-":
-            p = kleene(p)
-        elif ch == "~":
-            p = brouwer(p)
-        elif ch == "L":
-            p = pawlak(kb, p)
-        else:
-            raise TermError(f"unknown operator {ch!r} in word {word!r}")
-    return p
-
-
 def eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
     """Evaluate a composite operator term against p.
 
@@ -120,73 +101,13 @@ def eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
     or an expression combining such words with ``&`` (meet), ``|`` (join)
     and parentheses.  Inside expressions the concept is written ``a``
     (``0``/``1`` are the bounds) and words attach as suffixes, e.g.
-    ``a^~L~ & (a^~- & a^-~-)^L~-``.
+    ``a^~L~ & (a^~- & a^-~-)^L~-``.  The term is compiled once
+    (`axioms.compile_term`, the evaluator of the axioms) and evaluated on
+    p's two masks under `axioms.standard_ops(kb)`.
     """
+    from .axioms import compile_term, standard_ops
+
     if kb.universe != p.universe:
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
-    text = term.replace(" ", "")
-    if all(ch in _WORD_CHARS for ch in text):
-        return _apply_word(kb, p, text)
-    return _TermParser(text, kb, p).parse()
-
-
-class _TermParser:
-    def __init__(self, text: str, kb: KnowledgeBase, p: Orthopair):
-        self.text = text
-        self.kb = kb
-        self.p = p
-        self.pos = 0
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Orthopair:
-        value = self._expr()
-        if self.pos != len(self.text):
-            raise TermError(f"trailing input at position {self.pos} in {self.text!r}")
-        return value
-
-    def _expr(self) -> Orthopair:
-        value = self._meet()
-        while self._peek() == "|":
-            self.pos += 1
-            value = join(value, self._meet())
-        return value
-
-    def _meet(self) -> Orthopair:
-        value = self._atom()
-        while self._peek() == "&":
-            self.pos += 1
-            value = meet(value, self._atom())
-        return value
-
-    def _atom(self) -> Orthopair:
-        ch = self._peek()
-        if ch == "a":
-            self.pos += 1
-            base = self.p
-        elif ch == "0":
-            self.pos += 1
-            base = bottom(self.p.universe)
-        elif ch == "1":
-            self.pos += 1
-            base = top(self.p.universe)
-        elif ch == "(":
-            self.pos += 1
-            base = self._expr()
-            if self._peek() != ")":
-                raise TermError(f"missing ')' at position {self.pos} in {self.text!r}")
-            self.pos += 1
-        else:
-            raise TermError(f"unexpected {ch!r} at position {self.pos} in {self.text!r}")
-        return _apply_word(self.kb, base, self._word())
-
-    def _word(self) -> str:
-        if self._peek() == "^":
-            self.pos += 1
-            if self._peek() not in _WORD_CHARS:
-                raise TermError(f"empty word after '^' in {self.text!r}")
-        start = self.pos
-        while self._peek() in _WORD_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
+    pos, neg = compile_term(term)(standard_ops(kb), (p.positive.bits, p.negative.bits))
+    return Orthopair(ObjectSet(p.universe, pos), ObjectSet(p.universe, neg))

@@ -122,9 +122,8 @@ class ObjectSet(FrozenRecord):
         )
 
     def __iter__(self) -> Iterator[str]:
-        for i, name in enumerate(self.universe.objects):
-            if self.bits >> i & 1:
-                yield name
+        digits = bin(self.bits)[:1:-1]  # digit i is object i; a shift per object is O(|U|)
+        return (name for name, digit in zip(self.universe.objects, digits) if digit == "1")
 
     def __len__(self) -> int:
         return self.bits.bit_count()

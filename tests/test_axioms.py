@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -28,6 +29,52 @@ def _all_pairs_including_overlapping(size: int):
             yield (a, b)
 
 
+def _implies(hyp, con):
+    return con if hyp else True
+
+
+def _distributivity(o, p, q, r):
+    return o.meet(p, o.join(q, r)) == o.join(o.meet(p, q), o.meet(p, r)) and o.join(
+        p, o.meet(q, r)
+    ) == o.meet(o.join(p, q), o.join(p, r))
+
+
+# The axioms as hand-written lambdas over LatticeOps, with their arity and
+# pointwise flag: the oracle of the compiled `AXIOMS[...].predicate`.
+ORACLE = {
+    "bounds": (1, True, lambda o, p: o.leq(o.bottom, p) and o.leq(p, o.top)),
+    "distributivity": (3, True, _distributivity),
+    "K1": (1, True, lambda o, p: o.kleene(o.kleene(p)) == p),
+    "K2": (2, True,
+           lambda o, p, q: o.kleene(o.join(p, q)) == o.meet(o.kleene(p), o.kleene(q))),
+    "K3": (2, True,
+           lambda o, p, q: o.leq(o.meet(p, o.kleene(p)), o.join(q, o.kleene(q)))),
+    "B1": (1, True, lambda o, p: o.meet(p, o.brouwer(o.brouwer(p))) == p),
+    "B2": (2, True,
+           lambda o, p, q: o.brouwer(o.join(p, q)) == o.meet(o.brouwer(p), o.brouwer(q))),
+    "B3": (1, True, lambda o, p: o.meet(p, o.brouwer(p)) == o.bottom),
+    "in": (1, True, lambda o, p: o.leq(o.brouwer(p), o.kleene(p))),
+    "s-in": (1, True, lambda o, p: o.brouwer(o.brouwer(p)) == o.kleene(o.brouwer(p))),
+    "B2a": (2, True,
+            lambda o, p, q: o.brouwer(o.meet(p, q)) == o.join(o.brouwer(p), o.brouwer(q))),
+    "A1": (1, False, lambda o, p: o.kleene(o.pawlak(p)) == o.pawlak(o.kleene(p))),
+    "A2": (2, False, lambda o, p, q: _implies(
+        o.leq(p, q), o.leq(o.brouwer(o.pawlak(q)), o.brouwer(o.pawlak(p))))),
+    "A3": (1, False, lambda o, p: o.leq(o.brouwer(o.pawlak(p)), o.brouwer(p))),
+    "A4": (0, False, lambda o: o.pawlak(o.bottom) == o.bottom),
+    "A5": (2, False, lambda o, p, q: _implies(
+        o.brouwer(p) == o.brouwer(q),
+        o.meet(o.pawlak(p), o.pawlak(q)) == o.pawlak(o.meet(p, q)))),
+    "A6": (2, False, lambda o, p, q: o.leq(
+        o.join(o.pawlak(p), o.pawlak(q)), o.pawlak(o.join(p, q)))),
+    "A7": (1, False, lambda o, p: o.pawlak(o.pawlak(p)) == o.pawlak(p)),
+    "A8": (1, False,
+           lambda o, p: o.pawlak(o.brouwer(o.pawlak(p))) == o.brouwer(o.pawlak(p))),
+    "A9": (2, False, lambda o, p, q: o.pawlak(o.meet(o.pawlak(p), o.pawlak(q)))
+           == o.meet(o.pawlak(p), o.pawlak(q))),
+}
+
+
 @pytest.fixture
 def kb3():
     u = Universe.of("x", "y", "z")
@@ -41,6 +88,30 @@ def test_axiom_catalogue():
         "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
     }
     assert set(AXIOMS) == expected
+
+
+def test_equations_derive_the_hand_written_arity_and_pointwise_flag():
+    assert list(AXIOMS) == list(ORACLE)
+    for ident, (arity, pointwise, _) in ORACLE.items():
+        assert (AXIOMS[ident].arity, AXIOMS[ident].pointwise) == (arity, pointwise), ident
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_compiled_equations_agree_with_the_oracle(size):
+    # every tuple, under the standard operators and each operator mutation;
+    # drop-disjointness keeps the standard operators on overlapping pairs
+    for kb in all_knowledge_bases(default_universe(size)):
+        configs = [(standard_ops(kb), list(all_orthopair_masks(size)))]
+        configs += [(mutated_ops(kb, m), configs[0][1])
+                    for m in MUTATIONS if m != "drop-disjointness"]
+        configs.append((standard_ops(kb), list(_all_pairs_including_overlapping(size))))
+        for ident, (arity, _, oracle) in ORACLE.items():
+            if arity == 3 and size == 3:
+                continue
+            predicate = AXIOMS[ident].predicate
+            for ops, pairs in configs:
+                for tup in itertools.product(pairs, repeat=arity):
+                    assert predicate(ops, *tup) == oracle(ops, *tup), (ident, kb.blocks, tup)
 
 
 def test_unknown_axiom_rejected(kb3):
@@ -271,6 +342,25 @@ def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
     truncated = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
     assert (truncated.status, truncated.exhaustive) == ("undecided", False)
     assert truncated.cases_checked == reduced_cases - 1
+
+
+def test_brute_engine_builds_nothing_exponential_in_the_universe():
+    # standard_ops computes lower approximations on demand, and the brute
+    # engine counts and samples the 3^40 orthopairs without listing them
+    start = time.perf_counter()
+    ops = standard_ops(_skewed_kb(64, blocks=8))  # a block of 57 and 7 singletons
+    assert ops.upper(1) == (1 << 57) - 1
+    assert ops.pawlak((1, 1 << 63)) == (0, 1 << 63)
+    kb40 = _skewed_kb(40, blocks=4)
+    report = check_axiom(kb40, "K1", ops=standard_ops(kb40), budget=10)
+    assert (report.status, report.cases_checked, report.exhaustive) == ("undecided", 10, False)
+    assert time.perf_counter() - start < 1.0
+    # a sample that violates the axiom is a counterexample with that witness
+    ops = mutated_ops(kb40, "kleene-identity")
+    report = check_axiom(kb40, "K2", ops=ops, budget=10)
+    assert report.status == "counterexample"
+    assert not AXIOMS["K2"].predicate(ops, *report.witness)
+    assert all(pos & neg == 0 and (pos | neg) < 1 << 40 for pos, neg in report.witness)
 
 
 def test_sixteen_objects_certify_without_enumeration(monkeypatch):

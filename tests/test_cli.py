@@ -261,6 +261,26 @@ def test_classify_matches_golden_bytes(capsys, demo_csv, logic, fmt):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+MUTATION_NAMES = sorted(pbzlogic.MUTATIONS)
+VERIFY_GOLDENS = [
+    ("verify_sizes_1-5.txt", ["--sizes", "1,2,3,4,5"]),
+    *[(f"verify_sizes_3_mutate_{m}.txt", ["--sizes", "3", "--mutate", m])
+      for m in MUTATION_NAMES],
+    *[(f"verify_sizes_3_mutate_{m}_budget_20.txt",
+       ["--sizes", "3", "--mutate", m, "--budget", "20"]) for m in MUTATION_NAMES],
+    ("verify_sizes_3_mutate_pawlak-upper-on-both.json",
+     ["--sizes", "3", "--mutate", "pawlak-upper-on-both", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", VERIFY_GOLDENS, ids=[g for g, _ in VERIFY_GOLDENS])
+def test_verify_matches_golden_bytes(capsys, demo_csv, golden, argv):
+    # witness placement and case counts across a sweep, standard and mutated
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == (0 if "--mutate" not in argv else 2)
+    assert out.encode("utf-8") == (demo_csv.parent / "golden" / golden).read_bytes()
+
+
 @pytest.mark.parametrize(
     "values, message",
     [

@@ -137,7 +137,7 @@ def test_eval_term_expressions(six_kb, six_pair):
 
 
 @pytest.mark.parametrize(
-    "term", ["x", "a^", "(a", "a)", "a &", "aLx", "a^z", "a a"]
+    "term", ["x", "a^", "(a", "a)", "a &", "aLx", "a^z", "a a", "b", "a = a"]
 )
 def test_eval_term_rejects_malformed(six_kb, six_pair, term):
     with pytest.raises(TermError):

@@ -49,6 +49,10 @@ def swap(p):
     return (p[1], p[0])
 
 
+def lower(mask):
+    return mask  # the lower approximation on singleton blocks
+
+
 def holds(o, p):
     return True
 
@@ -72,7 +76,7 @@ RECORDS = {
         "flags": bytearray(b"\x03"), "firsts": array("I", [0]),
     }),
     "LatticeOps": (LatticeOps, {
-        "full": 1, "lower_table": (0, 1), "meet": meet, "join": join,
+        "full": 1, "lower": lower, "meet": meet, "join": join,
         "kleene": swap, "brouwer": swap, "pawlak": swap,
     }),
     "Axiom": (Axiom, {

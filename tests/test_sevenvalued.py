@@ -13,13 +13,24 @@ from pbzlogic import (
     classify,
     default_universe,
     downward_part,
+    eval_term,
     kleene,
     part,
     seven_partition,
     truth_leq,
     upward_part,
 )
-from pbzlogic.sevenvalued import DOWNWARD_MEMBERS, UPWARD_MEMBERS
+from pbzlogic.sevenvalued import (
+    BASE_TERMS,
+    BOUNDARY,
+    BY_FLAG,
+    DOWNWARD_MEMBERS,
+    DOWNWARD_TERMS,
+    NEGATIVE,
+    POSITIVE,
+    UPWARD_MEMBERS,
+    UPWARD_TERMS,
+)
 
 from .oracle import oracle_parts
 
@@ -128,6 +139,32 @@ def test_block_values_agree_with_every_formulation(size):
             assert {
                 v.symbol: frozenset(ObjectSet(u, bits)) for v, bits in single_pass.items()
             } == expected
+
+
+def test_formulation_terms_decide_every_type_set():
+    # The 7 single-block type sets: a block with one object in each region
+    # of the flag.  A term is unary, so by steps 1-3 of the `axioms`
+    # docstring its positive region on any knowledge base of any size is the
+    # union of the blocks whose flag gives the whole block here.  So these
+    # 147 evaluations decide "lattice = classwise" for every size; the
+    # sweeps above stop at size 5.
+    for flag in range(1, 8):
+        regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if flag & r]
+        u = Universe(tuple(f"o{i}" for i in range(len(regions))))
+        kb = KnowledgeBase.from_partition(u, [u.full()])
+        p = Orthopair(
+            ObjectSet(u, sum(1 << i for i, r in enumerate(regions) if r == POSITIVE)),
+            ObjectSet(u, sum(1 << i for i, r in enumerate(regions) if r == NEGATIVE)),
+        )
+        value = BY_FLAG[flag]
+        for terms, holds in (
+            (BASE_TERMS, lambda v: v.flag == flag),
+            (UPWARD_TERMS, lambda v: value in UPWARD_MEMBERS[v]),
+            (DOWNWARD_TERMS, lambda v: value in DOWNWARD_MEMBERS[v]),
+        ):
+            for v in V:
+                expected = u.full() if holds(v) else u.empty()
+                assert eval_term(kb, p, terms[v]).positive == expected, (flag, terms[v])
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
