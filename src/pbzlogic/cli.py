@@ -294,43 +294,20 @@ def _write_runs_text(runs: Iterator[tuple[str, bool, list[AxiomReport]]], out: T
         out.write("".join(lines))
 
 
-# One axiom of a run, at depth 4 of the report: `AxiomReport.to_dict()`,
-# written with the layout of `_dumps`.
-_AXIOM_JSON = (
-    "        {{\n"
-    '          "axiom": {},\n'
-    '          "cases_checked": {},\n'
-    '          "exhaustive": {},\n'
-    '          "status": {}{}\n'
-    "        }}"
-)
-_WITNESS_INDENT = " " * 10
-
-
 def _write_runs_json(runs: Iterator[tuple[str, bool, list[AxiomReport]]], out: TextIO) -> None:
     """The `verify` report, `{"runs": [...], "schema_version": 1}`: each run
-    is written when it is checked, each axiom from one template.  A sweep
-    repeats the same few entries without a witness in every run, so each
-    of those is rendered once."""
+    is written when it is checked.  A sweep repeats the same few entries
+    without a witness in every run, so each of those is rendered once."""
     escape = encode_basestring_ascii
     rendered: dict[tuple, str] = {}  # entries without a witness, by their fields
 
-    def render(r: AxiomReport) -> str:
-        witness = r.witness_names()
-        return _AXIOM_JSON.format(
-            escape(r.axiom), int.__repr__(r.cases_checked),
-            "true" if r.exhaustive else "false", escape(r.status),
-            "" if witness is None
-            else ',\n          "witness": ' + _dumps(witness, _WITNESS_INDENT),
-        )
-
     def axiom(r: AxiomReport) -> str:
         if r.witness is not None:
-            return render(r)
+            return "        " + _dumps(r.to_dict(), "        ")
         key = r[:4]  # axiom, status, cases_checked, exhaustive
         entry = rendered.get(key)
         if entry is None:
-            entry = rendered[key] = render(r)
+            entry = rendered[key] = "        " + _dumps(r.to_dict(), "        ")
         return entry
 
     _write_json_list("runs", (

@@ -112,18 +112,23 @@ class ValueDef(FrozenRecord):
             result = acc if result is None else result & acc
         return result
 
-    def members(self) -> frozenset[TruthValue]:
-        """The base values whose objects this derived value holds.
+    def members(self) -> int:
+        """The member mask of the base values whose objects this derived
+        value holds: an int with bit `w.flag` set for each such value w.
 
         An object lies in the upward (downward) part of u exactly when its
-        base value is in UPWARD_MEMBERS[u] (DOWNWARD_MEMBERS[u]).
+        base value is in the mask UPWARD_MEMBERS[u] (DOWNWARD_MEMBERS[u]),
+        so the mask is the OR of those of `up`, AND the OR of those of
+        `down`.
         """
-        held = [
-            {m for symbol in symbols for m in table[TruthValue(symbol)]}
-            for symbols, table in ((self.up, UPWARD_MEMBERS), (self.down, DOWNWARD_MEMBERS))
-            if symbols
-        ]
-        return frozenset(set.intersection(*held))
+        held = ~0  # every value, until a union narrows it; one always does
+        for symbols, table in ((self.up, UPWARD_MEMBERS), (self.down, DOWNWARD_MEMBERS)):
+            if symbols:
+                union = 0
+                for symbol in symbols:
+                    union |= table[TruthValue(symbol)]
+                held &= union
+        return held
 
 
 class LogicSpec(FrozenRecord):
@@ -151,7 +156,7 @@ class LogicSpec(FrozenRecord):
         same sets from rough approximations.
         """
         held = [(v.label, v.members()) for v in self.values]
-        return {t: tuple(label for label, m in held if t in m) for t in TruthValue}
+        return {t: tuple(label for label, m in held if m >> t.flag & 1) for t in TruthValue}
 
     def to_dict(self) -> dict:
         return {

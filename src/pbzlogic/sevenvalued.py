@@ -7,18 +7,24 @@ which of the three regions its equivalence class meets.  A class meets at
 least one region, so its value is one of the 2^3 - 1 = 7 nonempty sets of
 regions: the paper's "magical number seven".  Each `TruthValue` carries
 that set as its 3-bit region `flag`, and everything else about the values
-here (the classification, the mirror, the upward member sets) is derived
-from the flag.  The abstract's correspondence with the Jaina reasoning
-system plausibly reads its seven predications as these seven combinations
-of three.
+here (the classification, the mirror, the member masks) is derived from
+the flag.  The abstract's correspondence with the Jaina reasoning system
+plausibly reads its seven predications as these seven combinations of
+three.
 
-Every part can be computed three ways: directly from the blocks
-(classwise), from rough-approximation formulas, or by evaluating a lattice
-operator term; the three must agree.
+A set of base values is a 7-bit member mask, with bit `w.flag` set for
+each member w.  A base part, an upward or downward aggregation
+(`UPWARD_MEMBERS`, `DOWNWARD_MEMBERS`) and a derived value of a logic
+(`logics.ValueDef.members`) each hold the objects whose value is in one.
 
-The mask layer (`universe`, `orthopair`) is imported where it is used, so
-that the `classify` command, which needs only `TruthValue` and the region
-bits, never loads it.
+Every part and aggregation can be computed three ways, by the one
+dispatcher `_aggregate`: directly from the blocks whose flag is in its
+member mask (classwise), from rough-approximation formulas, or by
+evaluating a lattice operator term; the three must agree.
+
+The mask layer (`universe`, `orthopair`) is never imported at module
+level, so that the `classify` command, which needs only `TruthValue` and
+the region bits, never loads it.
 """
 
 from __future__ import annotations
@@ -93,13 +99,16 @@ def truth_leq(v: TruthValue, w: TruthValue) -> bool:
 
 FORMULATIONS = ("classwise", "approximation", "lattice")
 
-# Base parts aggregated by each upward / downward value.
-UPWARD_MEMBERS: dict[TruthValue, tuple[TruthValue, ...]] = {
-    v: tuple(w for w in _V if truth_leq(v, w)) for v in _V
+# Member masks: a base part holds its own value; the upward (downward)
+# aggregation of v every value at least (at most) v.
+_BASE_MEMBERS: dict[TruthValue, int] = {v: 1 << v.flag for v in _V}
+
+UPWARD_MEMBERS: dict[TruthValue, int] = {
+    v: sum(1 << w.flag for w in _V if truth_leq(v, w)) for v in _V
 }
 
-DOWNWARD_MEMBERS: dict[TruthValue, tuple[TruthValue, ...]] = {
-    v: tuple(m.mirror() for m in UPWARD_MEMBERS[v.mirror()]) for v in _V
+DOWNWARD_MEMBERS: dict[TruthValue, int] = {
+    v: sum(1 << w.flag for w in _V if truth_leq(w, v)) for v in _V
 }
 
 # Lattice operator terms for the base parts (suffix words read left to
@@ -155,12 +164,12 @@ def _flag(block: int, a: int, b: int, bd: int) -> int:
             | (BOUNDARY if block & bd else 0))
 
 
-def _classwise_mask(kb: KnowledgeBase, p: Orthopair, v: TruthValue) -> int:
-    """The blocks whose region flag is v's."""
+def _classwise_mask(kb: KnowledgeBase, p: Orthopair, members: int) -> int:
+    """The blocks whose region flag's bit is set in the member mask."""
     a, b, bd = _regions(kb, p)
     out = 0
     for block in kb.blocks:
-        if _flag(block.bits, a, b, bd) == v.flag:
+        if members >> _flag(block.bits, a, b, bd) & 1:
             out |= block.bits
     return out
 
@@ -183,6 +192,40 @@ def _approx_part(kb: KnowledgeBase, p: Orthopair, v: TruthValue) -> ObjectSet:
     return kb.lower(b)
 
 
+def _aggregate(
+    kb: KnowledgeBase,
+    p: Orthopair,
+    v: TruthValue,
+    formulation: str,
+    members: dict[TruthValue, int],
+    closed_form,
+    terms: dict[TruthValue, str],
+) -> ObjectSet:
+    """The objects of p whose base value is in the member mask `members[v]`,
+    by one formulation: the blocks whose flag is in the mask (classwise),
+    `closed_form` (approximation) or the lattice term `terms[v]`.
+
+    `ObjectSet` is p's own class and `eval_term` is bound on its first use,
+    so that no call runs an import statement.
+    """
+    _check(kb, p)
+    if formulation == "classwise":
+        return type(p.positive)(kb.universe, _classwise_mask(kb, p, members[v]))
+    if formulation == "approximation":
+        return closed_form(kb, p, v)
+    if formulation == "lattice":
+        return _eval_term(kb, p, terms[v]).positive
+    raise ValueError(f"unknown formulation {formulation!r}")
+
+
+def _eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
+    """`orthopair.eval_term`, which replaces this function on its first call."""
+    global _eval_term
+    from .orthopair import eval_term as _eval_term
+
+    return _eval_term(kb, p, term)
+
+
 def part(
     kb: KnowledgeBase,
     p: Orthopair,
@@ -190,17 +233,7 @@ def part(
     formulation: str = "approximation",
 ) -> ObjectSet:
     """One of the seven base parts of p, under the chosen formulation."""
-    from .orthopair import eval_term
-    from .universe import ObjectSet
-
-    _check(kb, p)
-    if formulation == "classwise":
-        return ObjectSet(kb.universe, _classwise_mask(kb, p, v))
-    if formulation == "approximation":
-        return _approx_part(kb, p, v)
-    if formulation == "lattice":
-        return eval_term(kb, p, BASE_TERMS[v]).positive
-    raise ValueError(f"unknown formulation {formulation!r}")
+    return _aggregate(kb, p, v, formulation, _BASE_MEMBERS, _approx_part, BASE_TERMS)
 
 
 def block_values(kb: KnowledgeBase, p: Orthopair) -> list[TruthValue]:
@@ -256,31 +289,6 @@ def seven_partition(
     if covered != kb.universe.full_mask:
         raise RuntimeError("seven parts do not cover the universe; internal invariant violated")
     return SevenPartition(parts)
-
-
-def _aggregate(
-    kb: KnowledgeBase,
-    p: Orthopair,
-    v: TruthValue,
-    formulation: str,
-    members: dict[TruthValue, tuple[TruthValue, ...]],
-    closed_form,
-    terms: dict[TruthValue, str],
-) -> ObjectSet:
-    from .orthopair import eval_term
-    from .universe import ObjectSet
-
-    _check(kb, p)
-    if formulation == "classwise":
-        bits = 0
-        for m in members[v]:
-            bits |= _classwise_mask(kb, p, m)
-        return ObjectSet(kb.universe, bits)
-    if formulation == "approximation":
-        return closed_form(kb, p, v)
-    if formulation == "lattice":
-        return eval_term(kb, p, terms[v]).positive
-    raise ValueError(f"unknown formulation {formulation!r}")
 
 
 def _upward_closed_form(kb: KnowledgeBase, p: Orthopair, v: TruthValue) -> ObjectSet:

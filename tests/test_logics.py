@@ -18,6 +18,7 @@ from pbzlogic import (
     classify,
     default_universe,
     evaluate_logic,
+    truth_leq,
     validate_logic,
 )
 from pbzlogic.logics import (
@@ -28,6 +29,7 @@ from pbzlogic.logics import (
     _witness,
     _witness_block,
 )
+from pbzlogic.sevenvalued import DOWNWARD_MEMBERS, UPWARD_MEMBERS
 
 V = TruthValue
 
@@ -242,6 +244,43 @@ def test_triage_value_table():
         V.SOMETIMES_FALSE: ("discharge",),
         V.FALSE: ("discharge",),
     }
+
+
+def test_member_masks_follow_the_truth_order():
+    for v in V:
+        for w in V:
+            assert bool(UPWARD_MEMBERS[v] >> w.flag & 1) == truth_leq(v, w)
+            assert bool(DOWNWARD_MEMBERS[v] >> w.flag & 1) == truth_leq(w, v)
+        # no bit besides the seven flags'
+        assert (UPWARD_MEMBERS[v] | DOWNWARD_MEMBERS[v]) & ~0b1111_1110 == 0
+
+
+def _members_oracle(up, down):
+    """The base values of a derived value, as Python sets: the union of
+    the upward sets of `up`, intersected with that of the downward sets of
+    `down`, each straight from the truth order."""
+    held = [
+        {w for symbol in symbols for w in V if leq(V(symbol), w)}
+        for symbols, leq in ((up, truth_leq), (down, lambda u, w: truth_leq(w, u)))
+        if symbols
+    ]
+    return set.intersection(*held)
+
+
+def test_members_mask_matches_set_oracle_exhaustively():
+    subsets = [
+        tuple(s for i, s in enumerate(BASE_SYMBOLS) if bits >> i & 1)
+        for bits in range(1 << len(BASE_SYMBOLS))
+    ]
+    checked = 0
+    for up in subsets:
+        for down in subsets:
+            if not (up or down):
+                continue
+            mask = ValueDef("x", up=up, down=down).members()
+            assert mask == sum(1 << w.flag for w in _members_oracle(up, down)), (up, down)
+            checked += 1
+    assert checked == 128 * 128 - 1
 
 
 OVERLAPPING = LogicSpec(
