@@ -18,16 +18,16 @@ _MODULE_OF = {
     "KnowledgeBase": "universe",
     "LatticeOps": "axioms",
     "LogicAssignment": "logics",
-    "LogicSpec": "logics",
+    "LogicSpec": "values",
     "LogicValidation": "logics",
     "ObjectSet": "universe",
     "Orthopair": "orthopair",
     "SevenPartition": "sevenvalued",
     "TermError": "axioms",
-    "TruthValue": "sevenvalued",
+    "TruthValue": "values",
     "Universe": "universe",
     "UniverseMismatchError": "universe",
-    "ValueDef": "logics",
+    "ValueDef": "values",
     "all_knowledge_bases": "sweep",
     "all_orthopair_masks": "sweep",
     "all_orthopairs": "sweep",
@@ -35,8 +35,8 @@ _MODULE_OF = {
     "block_values": "sevenvalued",
     "bottom": "orthopair",
     "brouwer": "orthopair",
-    "builtin_logic": "logics",
-    "builtin_logics": "logics",
+    "builtin_logic": "values",
+    "builtin_logics": "values",
     "certified": "axioms",
     "check_all": "axioms",
     "check_axiom": "axioms",
@@ -57,7 +57,7 @@ _MODULE_OF = {
     "seven_partition": "sevenvalued",
     "standard_ops": "axioms",
     "top": "orthopair",
-    "truth_leq": "sevenvalued",
+    "truth_leq": "values",
     "upward_part": "sevenvalued",
     "validate_logic": "logics",
 }

@@ -1,4 +1,4 @@
-"""Command-line front end: the parser, the dispatch and the report writers.
+"""Command-line front end: the parser, the dispatch and the commands.
 
 Subcommands:
 
@@ -9,12 +9,17 @@ Subcommands:
 * ``list-logics``    show the built-in logics
 
 A table is read by `table.load_table`; `classify` builds its report in
-`report`.  `verify` and `validate-logic` take every knowledge base, a
-table or a set partition of a synthetic sweep, as a `table.Partition` and
-build no mask layer, so `verify --input` loads only this module, the
-ingest, the region bits and the axiom engine.  Every JSON report is
-written here, as `json.dumps(report, indent=2, sort_keys=True)` would
-write it, without loading `json`.
+`report`, from the seven values and the logics' value tables (`values`).
+`verify` and `validate-logic` take every knowledge base, a table or a set
+partition of a synthetic sweep, as a `table.Partition` and build no mask
+layer, and write their reports through `verdicts`.  Every JSON report is
+written as `json.dumps(report, indent=2, sort_keys=True)` would write it,
+without loading `json` (`jsontext.dumps`).
+
+Each command imports the modules it uses inside it, and only those whose
+code it runs, because a run without cached bytecode compiles every line
+it imports.  No module imports this one: under `python -m pbzlogic.cli`
+it runs as `__main__`, and an import would compile it a second time.
 
 Exit status: 0 on success, 1 on data and usage errors and on a closed
 stdout, 2 when an axiom or logic check fails or stays undecided.
@@ -26,9 +31,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, TextIO
-
-from _json import encode_basestring_ascii
+from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
 
 from .table import (  # the ingest; these names stay importable from here
     DEFAULT_NEGATIVE,
@@ -45,8 +48,8 @@ from .table import (  # the ingest; these names stay importable from here
 
 if TYPE_CHECKING:  # each command imports the modules it uses
     from .axioms import AxiomReport
-    from .logics import LogicSpec, LogicValidation
-    from .sevenvalued import TruthValue
+    from .logics import LogicValidation
+    from .values import LogicSpec, TruthValue
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -98,77 +101,16 @@ def render_json(report: dict, out: TextIO) -> None:
     with an empty list, holds `"objects": []`; no string value can hold
     that line, since strings are written with their line breaks escaped.
     """
+    from .jsontext import dumps  # here, so that only JSON output loads the writer
+
     rows = report.get("objects")
     if not (rows and hasattr(rows, "write_json")):
-        out.write(_dumps(report) + "\n")
+        out.write(dumps(report) + "\n")
         return
-    head, tail = _dumps({**report, "objects": []}).split('\n  "objects": []')
+    head, tail = dumps({**report, "objects": []}).split('\n  "objects": []')
     out.write(f'{head}\n  "objects": [\n')
     rows.write_json(out)
     out.write(f"\n  ]{tail}\n")
-
-
-def _dumps(value: object, indent: str = "") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` of a value nested at
-    `indent`, for the values that reports hold: dicts with str keys, lists,
-    tuples, strings, ints, bools and None.
-
-    Strings and keys are escaped by the C `encode_basestring_ascii` and ints
-    written by `int.__repr__`, as `json.dumps` does; any other value is a
-    TypeError.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{\n" + ",\n".join([
-            f"{inner}{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
-            for key, item in sorted(value.items())
-        ]) + f"\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[\n" + ",\n".join([inner + _dumps(item, inner) for item in value]) + (
-            f"\n{indent}]"
-        )
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_json_list(key: str, entries: Iterator[str], out: TextIO) -> None:
-    """Write the report `{key: [...], "schema_version": SCHEMA_VERSION}` as
-    `render_json` would, `key` sorting first, from entries rendered at
-    depth 2, each as soon as it is made.  The first entry is made before
-    anything is written, so that an error in it leaves the output empty;
-    there is always one."""
-    first = next(entries)
-    out.write(f'{{\n  {encode_basestring_ascii(key)}: [\n{first}')
-    for entry in entries:
-        out.write(",\n" + entry)
-    out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
-
-
-def _exact_counts(write: Callable[[Iterator, TextIO], None], items: Iterator,
-                  out: TextIO) -> None:
-    """`write(items, out)` for reports whose counts may exceed Python's
-    default 4,300-digit limit on int-to-str conversion: an exact verdict
-    covers 3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an
-    axiom."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        write(items, out)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _parse_size(text: str, option: str, limit: int) -> int:
@@ -186,7 +128,7 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
     """A built-in name, a spec file path, or None for the bare seven values."""
     if name_or_path == "seven":
         return None
-    from .logics import LogicSpec, builtin_logic
+    from .values import LogicSpec, builtin_logic
 
     try:
         return builtin_logic(name_or_path)
@@ -247,7 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import axioms  # here, so that the other commands never load the engine
+    from . import axioms, verdicts  # here, so that the other commands never load them
 
     budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
     failed = False
@@ -260,8 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failed = failed or not ok
             yield label, ok, reports
 
-    write = _write_runs_json if args.format == "json" else _write_runs_text
-    _exact_counts(write, runs(), sys.stdout)
+    verdicts.write_runs(runs(), args.format, sys.stdout)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -279,46 +220,9 @@ def _partitions(args: argparse.Namespace, sizes: str,
             yield f"size {size} partition {i}", partition
 
 
-def _write_runs_text(runs: Iterator[tuple[str, bool, list[AxiomReport]]], out: TextIO) -> None:
-    """A verdict line per knowledge base, then each axiom that does not
-    hold, with its cases and witness."""
-    for label, ok, reports in runs:
-        lines = [f"{label}: {'PBZ-certified' if ok else 'FAILED'}\n"]
-        for r in reports:
-            if r.status != "holds":
-                witness = r.witness_names()
-                lines.append(
-                    f"  {r.axiom}: {r.status} (cases checked: {r.cases_checked})"
-                    + ("" if witness is None else f" witness: {witness}") + "\n"
-                )
-        out.write("".join(lines))
-
-
-def _write_runs_json(runs: Iterator[tuple[str, bool, list[AxiomReport]]], out: TextIO) -> None:
-    """The `verify` report, `{"runs": [...], "schema_version": 1}`: each run
-    is written when it is checked.  A sweep repeats the same few entries
-    without a witness in every run, so each of those is rendered once."""
-    escape = encode_basestring_ascii
-    rendered: dict[tuple, str] = {}  # entries without a witness, by their fields
-
-    def axiom(r: AxiomReport) -> str:
-        if r.witness is not None:
-            return "        " + _dumps(r.to_dict(), "        ")
-        key = r[:4]  # axiom, status, cases_checked, exhaustive
-        entry = rendered.get(key)
-        if entry is None:
-            entry = rendered[key] = "        " + _dumps(r.to_dict(), "        ")
-        return entry
-
-    _write_json_list("runs", (
-        '    {\n      "axioms": [\n' + ",\n".join(map(axiom, reports))
-        + f'\n      ],\n      "certified": {"true" if ok else "false"},'
-        f'\n      "kb": {escape(label)}\n    }}'
-        for label, ok, reports in runs
-    ), out)
-
-
 def cmd_validate_logic(args: argparse.Namespace) -> int:
+    from . import verdicts
+
     spec = _resolve_logic(args.logic)
     if spec is None:
         raise DataError("the base seven-valued assignment needs no validation")
@@ -332,45 +236,12 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
             failed = failed or result.status != "valid"
             yield result
 
-    write = _write_results_json if args.format == "json" else _write_results_text
-    _exact_counts(write, results(), sys.stdout)
+    verdicts.write_results(results(), args.format, sys.stdout)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None:
-    """The `validate-logic` report, `{"results": [...], "schema_version": 1}`,
-    each result written when it is decided."""
-    _write_json_list(
-        "results", ("    " + _dumps(result.to_dict(), "    ") for result in results), out
-    )
-
-
-def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:
-    """One verdict line per knowledge base, then the failure and witness of
-    an invalid one.  A valid verdict counts the concepts it covers, any
-    other the cases evaluated."""
-    for result in results:
-        rep = result.to_dict()
-        unit = "concepts" if rep["status"] == "valid" else "cases"
-        lines = [
-            f"{rep['logic']}: {rep['status']}"
-            f" (checked {rep['checked']} {unit}"
-            f"{', exhaustive' if rep['exhaustive'] else ''})"
-        ]
-        if "overlap" in rep:
-            lines.append(
-                f"  overlap between {rep['overlap'][0]} and {rep['overlap'][1]}"
-                f" on {rep['overlap'][2]}"
-            )
-        if "uncovered" in rep:
-            lines.append(f"  uncovered objects: {rep['uncovered']}")
-        if "witness" in rep:
-            lines.append(f"  witness concept: {rep['witness']}")
-        out.write("".join(line + "\n" for line in lines))
-
-
 def cmd_list_logics(args: argparse.Namespace) -> int:
-    from .logics import builtin_logics
+    from .values import builtin_logics
 
     for spec in builtin_logics():
         labels = ", ".join(spec.labels())

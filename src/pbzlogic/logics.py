@@ -1,10 +1,10 @@
-"""Derived n-valued logics built by aggregating the seven base truth values.
+"""Derived n-valued logics on knowledge bases: evaluation and validation.
 
-A logic assigns each object one of n derived values.  Each derived value is
-defined by a union of upward aggregations, a union of downward
-aggregations, or the intersection of one union of each kind.  A logic is
-valid on a knowledge base when its derived values partition the universe
-for every concept (orthopair).  `validate_blocks` decides that from the
+A logic (`values.LogicSpec`) assigns each object one of n derived values.
+Each derived value is defined by a union of upward aggregations, a union
+of downward aggregations, or the intersection of one union of each kind.
+A logic is valid on a knowledge base when its derived values partition
+the universe for every concept (orthopair).  `validate_blocks` decides that from the
 logic's seven-entry `value_table` and a `table.Partition` (object names,
 a block id per object, the block sizes), by the argument below: only the
 largest block and |U| matter, and an invalid verdict's witness and
@@ -12,7 +12,8 @@ failure follow from its block ids.  `validate-logic` runs it on a table or
 on each set partition of its sweep; `validate_logic` runs it on
 `KnowledgeBase.partition()`.  `_validate_brute` enumerates every concept
 and stays, with `_partition_failure`, as the oracle the tests compare
-against.
+against; it and `evaluate_logic` evaluate each derived value on the mask
+layer through `sevenvalued`, which only they load.
 
 Why the seven-value rule is exact
 ---------------------------------
@@ -56,152 +57,20 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
-from .sevenvalued import (
-    DOWNWARD_MEMBERS,
-    UPWARD_MEMBERS,
+from .values import (  # the logics themselves; these names stay importable from here
+    BASE_SYMBOLS,
+    LogicSpec,
     TruthValue,
-    downward_part,
-    upward_part,
+    ValueDef,
+    builtin_logic,
+    builtin_logics,
+    single_label,
 )
 
 if TYPE_CHECKING:  # the mask layer is imported where it is used
     from .orthopair import Orthopair
     from .table import Partition
     from .universe import KnowledgeBase, ObjectSet
-
-BASE_SYMBOLS = tuple(v.symbol for v in TruthValue)
-
-
-class ValueDef(FrozenRecord):
-    """One derived truth value.
-
-    `up` names base values whose upward aggregations are unioned; `down`
-    likewise for downward aggregations.  With both present the two unions
-    are intersected.
-    """
-
-    __slots__ = ("label", "up", "down")
-
-    def __init__(
-        self, label: str, up: tuple[str, ...] = (), down: tuple[str, ...] = ()
-    ) -> None:
-        if not label:
-            raise ValueError("derived value needs a label")
-        if not up and not down:
-            raise ValueError(f"derived value {label!r} has an empty definition")
-        for symbol in (*up, *down):
-            if symbol not in BASE_SYMBOLS:
-                raise ValueError(
-                    f"unknown base truth value {symbol!r} in {label!r}"
-                )
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-
-    def evaluate(self, kb: KnowledgeBase, p: Orthopair) -> ObjectSet:
-        result = None
-        if self.up:
-            acc = kb.universe.empty()
-            for symbol in self.up:
-                acc = acc | upward_part(kb, p, TruthValue(symbol))
-            result = acc
-        if self.down:
-            acc = kb.universe.empty()
-            for symbol in self.down:
-                acc = acc | downward_part(kb, p, TruthValue(symbol))
-            result = acc if result is None else result & acc
-        return result
-
-    def members(self) -> int:
-        """The member mask of the base values whose objects this derived
-        value holds: an int with bit `w.flag` set for each such value w.
-
-        An object lies in the upward (downward) part of u exactly when its
-        base value is in the mask UPWARD_MEMBERS[u] (DOWNWARD_MEMBERS[u]),
-        so the mask is the OR of those of `up`, AND the OR of those of
-        `down`.
-        """
-        held = ~0  # every value, until a union narrows it; one always does
-        for symbols, table in ((self.up, UPWARD_MEMBERS), (self.down, DOWNWARD_MEMBERS)):
-            if symbols:
-                union = 0
-                for symbol in symbols:
-                    union |= table[TruthValue(symbol)]
-                held &= union
-        return held
-
-
-class LogicSpec(FrozenRecord):
-    """A named logic: an ordered tuple of derived value definitions."""
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str, values: tuple[ValueDef, ...]) -> None:
-        if not values:
-            raise ValueError("a logic needs at least one derived value")
-        labels = [v.label for v in values]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate derived value labels in logic {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.values)
-
-    def value_table(self) -> dict[TruthValue, tuple[str, ...]]:
-        """Labels of the derived values holding each base value, in label order.
-
-        An object's derived values depend only on its base value, so these
-        seven entries are the whole logic; `evaluate_logic` computes the
-        same sets from rough approximations.
-        """
-        held = [(v.label, v.members()) for v in self.values]
-        return {t: tuple(label for label, m in held if m >> t.flag & 1) for t in TruthValue}
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "values": [
-                {"label": v.label, "up": list(v.up), "down": list(v.down)}
-                for v in self.values
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogicSpec":
-        """The spec that `to_dict` describes.  Any other shape of JSON
-        value is a ValueError, or a KeyError for a missing key."""
-        _expect(data, dict, "a logic spec")
-        values = []
-        for entry in _expect(data["values"], list, "'values'"):
-            _expect(entry, dict, "a derived value")
-            values.append(ValueDef(
-                label=_expect(entry["label"], str, "a label"),
-                up=tuple(_expect(entry.get("up", []), list, "'up'")),
-                down=tuple(_expect(entry.get("down", []), list, "'down'")),
-            ))
-        return cls(name=_expect(data["name"], str, "a name"), values=tuple(values))
-
-    def to_json(self) -> str:
-        import json  # here and below: a command loads it only to read a spec file
-
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogicSpec":
-        import json
-
-        return cls.from_dict(json.loads(text))
-
-
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
-
-
-def _expect(value, kind: type, what: str):
-    """`value` if it is a `kind`, else a ValueError saying what it must be."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
-    return value
 
 
 class LogicAssignment(FrozenRecord):
@@ -226,18 +95,23 @@ class LogicAssignment(FrozenRecord):
         return {label: len(self.parts[label]) for label in self.logic.labels()}
 
 
-def single_label(name: str, labels: tuple[str, ...]) -> str:
-    """The one derived value of the named object; ValueError for none or several."""
-    if len(labels) != 1:
-        raise ValueError(
-            f"object {name!r} falls in {len(labels)} derived values; "
-            "the logic is not a partition on this concept"
-        )
-    return labels[0]
-
-
 def evaluate_logic(kb: KnowledgeBase, p: Orthopair, spec: LogicSpec) -> LogicAssignment:
-    return LogicAssignment(spec, {v.label: v.evaluate(kb, p) for v in spec.values})
+    """Each derived value of the spec on concept p, as the union of its
+    upward parts intersected with the union of its downward parts, from
+    rough approximations (`sevenvalued.upward_part`, `downward_part`)."""
+    from .sevenvalued import downward_part, upward_part
+
+    parts = {}
+    for vdef in spec.values:
+        result = None
+        for symbols, aggregate in ((vdef.up, upward_part), (vdef.down, downward_part)):
+            if symbols:
+                acc = kb.universe.empty()
+                for symbol in symbols:
+                    acc = acc | aggregate(kb, p, TruthValue(symbol))
+                result = acc if result is None else result & acc
+        parts[vdef.label] = result
+    return LogicAssignment(spec, parts)
 
 
 class LogicValidation(NamedTuple):
@@ -401,51 +275,6 @@ def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
         if failure:
             return LogicValidation(spec.name, "invalid", checked, True, witness=p, **failure)
     return LogicValidation(spec.name, "valid", checked, True)
-
-
-def builtin_logics() -> tuple[LogicSpec, ...]:
-    """The four built-in logics: treatment, triage, diagnosis, Belnap."""
-    treatment = LogicSpec(
-        "treatment",
-        (
-            ValueDef("treat", up=("sT",)),
-            ValueDef("wait", down=("U", "K", "fK")),
-        ),
-    )
-    triage = LogicSpec(
-        "triage",
-        (
-            ValueDef("hospitalize", up=("sT",)),
-            ValueDef("expert", up=("U", "K", "fK"), down=("U", "K", "fK")),
-            ValueDef("discharge", down=("sF",)),
-        ),
-    )
-    diagnosis = LogicSpec(
-        "diagnosis",
-        (
-            ValueDef("disease", up=("sT",)),
-            ValueDef("more-tests", up=("U",), down=("U",)),
-            ValueDef("expert", up=("K", "fK"), down=("K", "fK")),
-            ValueDef("no-disease", down=("sF",)),
-        ),
-    )
-    belnap = LogicSpec(
-        "belnap",
-        (
-            ValueDef("T_B", up=("sT",)),
-            ValueDef("U_B", up=("U",), down=("U",)),
-            ValueDef("K_B", up=("K", "fK"), down=("K", "fK")),
-            ValueDef("F_B", down=("sF",)),
-        ),
-    )
-    return (treatment, triage, diagnosis, belnap)
-
-
-def builtin_logic(name: str) -> LogicSpec:
-    for spec in builtin_logics():
-        if spec.name == name:
-            return spec
-    raise KeyError(f"unknown built-in logic {name!r}")
 
 
 _BELNAP_FROM_ARGUMENTS = {

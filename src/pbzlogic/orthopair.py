@@ -103,11 +103,12 @@ def eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
     (``0``/``1`` are the bounds) and words attach as suffixes, e.g.
     ``a^~L~ & (a^~- & a^-~-)^L~-``.  The term is compiled once
     (`axioms.compile_term`, the evaluator of the axioms) and evaluated on
-    p's two masks under `axioms.standard_ops(kb)`.
+    p's two masks under kb's standard operators, built once per knowledge
+    base (`KnowledgeBase.ops`).
     """
-    from .axioms import compile_term, standard_ops
+    from .axioms import compile_term
 
     if kb.universe != p.universe:
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
-    pos, neg = compile_term(term)(standard_ops(kb), (p.positive.bits, p.negative.bits))
+    pos, neg = compile_term(term)(kb.ops, (p.positive.bits, p.negative.bits))
     return Orthopair(ObjectSet(p.universe, pos), ObjectSet(p.universe, neg))

@@ -2,7 +2,7 @@
 negative region B, the boundary.
 
 A block's seven value is the nonempty set of regions it meets, so one
-3-bit flag names it (`sevenvalued.TruthValue.flag`).  This module imports
+3-bit flag names it (`values.TruthValue.flag`).  This module imports
 nothing, so that the table ingest can OR decisions into flags without
 loading the truth values.
 """

@@ -12,11 +12,11 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 
 from _json import encode_basestring_ascii
 
-from .sevenvalued import BY_FLAG, TruthValue
+from .values import BY_FLAG, TruthValue, single_label
 from .table import SCHEMA_VERSION
 
 if TYPE_CHECKING:
-    from .logics import LogicSpec
+    from .values import LogicSpec
     from .table import Table
 
 # The renderers write a report's objects this many at a time.
@@ -38,8 +38,6 @@ def build_classification_report(
     logic that gives a value other than one label is a ValueError naming
     the first object in row order that has no single label.
     """
-    from .logics import single_label
-
     if spec is None:
         labels_of = {v: (v.symbol,) for v in TruthValue}
         derived_order = [v.symbol for v in TruthValue]

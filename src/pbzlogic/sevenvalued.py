@@ -1,115 +1,48 @@
-"""Seven truth parts of a concept, per-object classification, and aggregations.
+"""The seven parts of a concept over a knowledge base, three ways.
 
-A concept (orthopair) splits the universe into three regions: the positive
-region A, the negative region B and the boundary.  Each object of the
-universe falls into exactly one of seven parts of the concept, according to
-which of the three regions its equivalence class meets.  A class meets at
-least one region, so its value is one of the 2^3 - 1 = 7 nonempty sets of
-regions: the paper's "magical number seven".  Each `TruthValue` carries
-that set as its 3-bit region `flag`, and everything else about the values
-here (the classification, the mirror, the member masks) is derived from
-the flag.  The abstract's correspondence with the Jaina reasoning system
-plausibly reads its seven predications as these seven combinations of
-three.
-
-A set of base values is a 7-bit member mask, with bit `w.flag` set for
-each member w.  A base part, an upward or downward aggregation
-(`UPWARD_MEMBERS`, `DOWNWARD_MEMBERS`) and a derived value of a logic
-(`logics.ValueDef.members`) each hold the objects whose value is in one.
+Each object of the universe falls into exactly one of seven parts of a
+concept: the one of its block's value (`values.TruthValue`, the set of
+regions its block meets, as a 3-bit flag).  A base part, an upward or
+downward aggregation and a derived value of a logic each hold the objects
+whose value is in a 7-bit member mask (`values.UPWARD_MEMBERS`,
+`DOWNWARD_MEMBERS`, `ValueDef.members`).
 
 Every part and aggregation can be computed three ways, by the one
 dispatcher `_aggregate`: directly from the blocks whose flag is in its
 member mask (classwise), from rough-approximation formulas, or by
-evaluating a lattice operator term; the three must agree.
+evaluating a lattice operator term; the three must agree.  They are the
+paper's cross-checks, and no command runs them: `classify` takes each
+block's value from the flag its table ingest ORs together, through
+`values` alone.
 
 The mask layer (`universe`, `orthopair`) is never imported at module
-level, so that the `classify` command, which needs only `TruthValue` and
-the region bits, never loads it.
+level, so that importing the values from here loads none of it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
+from .values import (  # the values; these names stay importable from here
+    BY_FLAG,
+    DOWNWARD_MEMBERS,
+    UPWARD_MEMBERS,
+    TruthValue,
+    truth_leq,
+)
 
 if TYPE_CHECKING:
     from .orthopair import Orthopair
     from .universe import KnowledgeBase, ObjectSet
 
-
-class TruthValue(Enum):
-    """A base truth value: its symbol, and the flag of the regions met by a
-    block that takes it."""
-
-    TRUE = "T", POSITIVE
-    SOMETIMES_TRUE = "sT", POSITIVE | BOUNDARY
-    UNKNOWN = "U", BOUNDARY
-    CONTRADICTORY = "K", POSITIVE | NEGATIVE
-    FULLY_CONTRADICTORY = "fK", POSITIVE | NEGATIVE | BOUNDARY
-    SOMETIMES_FALSE = "sF", NEGATIVE | BOUNDARY
-    FALSE = "F", NEGATIVE
-
-    def __new__(cls, symbol: str, flag: int) -> "TruthValue":
-        member = object.__new__(cls)
-        member._value_ = symbol
-        member.flag = flag
-        return member
-
-    @property
-    def symbol(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "TruthValue":
-        return cls(symbol)
-
-    def mirror(self) -> "TruthValue":
-        """Swap true-side and false-side values (the A and B bits); U, K,
-        fK are self-mirrored."""
-        flag = self.flag
-        return BY_FLAG[flag & BOUNDARY | (flag & POSITIVE) << 1 | (flag & NEGATIVE) >> 1]
-
-
-# The value of each flag: the one nonempty set of regions it names.
-BY_FLAG: dict[int, TruthValue] = {v.flag: v for v in TruthValue}
-
 _V = TruthValue
-
-# Rank in the truth-value order; U, K and fK share a rank and are
-# pairwise incomparable.  Only the order needed by the aggregations is
-# committed to.
-_RANK = {
-    _V.FALSE: 0,
-    _V.SOMETIMES_FALSE: 1,
-    _V.UNKNOWN: 2,
-    _V.CONTRADICTORY: 2,
-    _V.FULLY_CONTRADICTORY: 2,
-    _V.SOMETIMES_TRUE: 3,
-    _V.TRUE: 4,
-}
-
-
-def truth_leq(v: TruthValue, w: TruthValue) -> bool:
-    """Partial order on truth values, false-most at the bottom."""
-    return v == w or _RANK[v] < _RANK[w]
-
 
 FORMULATIONS = ("classwise", "approximation", "lattice")
 
-# Member masks: a base part holds its own value; the upward (downward)
-# aggregation of v every value at least (at most) v.
+# Member masks of the base parts: each holds its own value.
 _BASE_MEMBERS: dict[TruthValue, int] = {v: 1 << v.flag for v in _V}
-
-UPWARD_MEMBERS: dict[TruthValue, int] = {
-    v: sum(1 << w.flag for w in _V if truth_leq(v, w)) for v in _V
-}
-
-DOWNWARD_MEMBERS: dict[TruthValue, int] = {
-    v: sum(1 << w.flag for w in _V if truth_leq(w, v)) for v in _V
-}
 
 # Lattice operator terms for the base parts (suffix words read left to
 # right: '-' Kleene, '~' Brouwer, 'L' lower approximation).

@@ -1,8 +1,9 @@
 """Exhaustive enumeration of subsets, orthopairs and set partitions.
 
 Everything here is meant for small universes: the number of orthopairs is
-3^|U| and the number of partitions is the Bell number of |U|, each
-enumerated once as block ids (`_block_ids`).
+3^|U| and the number of partitions is the Bell number of |U|, enumerated
+as block ids (`_block_ids`), or as lists of blocks in the same order
+(`set_partitions`).
 """
 
 from __future__ import annotations
@@ -55,14 +56,20 @@ def _block_ids(size: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
 
 
 def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    """All partitions of the given items into nonempty blocks, each block
-    at the position of its number in `_block_ids`."""
+    """All partitions of the given items into nonempty blocks, in the order
+    and block numbering of `_block_ids`: the first item joins each block of
+    a partition of the rest in turn, then opens a block of its own ahead of
+    the others.  Each partition is spliced from one of the rest, which is
+    faster than grouping the items by their block ids."""
     items = list(items)
-    for ids, sizes in _block_ids(len(items)):
-        blocks: list[list[str]] = [[] for _ in sizes]
-        for item, b in zip(items, ids):
-            blocks[b].append(item)
-        yield blocks
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partial in set_partitions(rest):
+        for b in range(len(partial)):
+            yield partial[:b] + [[first] + partial[b]] + partial[b + 1:]
+        yield [[first]] + partial
 
 
 def all_partitions(size: int) -> Iterator[Partition]:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
 
 if TYPE_CHECKING:
-    from .sevenvalued import TruthValue
+    from .values import TruthValue
 
 # The version of the JSON reports that the CLI writes for its tables.
 SCHEMA_VERSION = 1
@@ -91,7 +91,7 @@ class Table(NamedTuple):
 
     def block_values(self) -> list[TruthValue]:
         """The seven value of each block, in block order, from its flag."""
-        from .sevenvalued import BY_FLAG
+        from .values import BY_FLAG
 
         return [BY_FLAG[flag] for flag in self.flags]
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
 from .table import Partition
+
+if TYPE_CHECKING:
+    from .axioms import LatticeOps
 
 
 class UniverseMismatchError(ValueError):
@@ -138,7 +141,7 @@ class ObjectSet(FrozenRecord):
 class KnowledgeBase(FrozenRecord):
     """A universe together with an equivalence relation stored as partition blocks."""
 
-    __slots__ = ("universe", "blocks", "__dict__")  # the dict holds `block_index`
+    __slots__ = ("universe", "blocks", "__dict__")  # the dict holds `block_index`, `ops`
 
     def __init__(self, universe: Universe, blocks: tuple[ObjectSet, ...]) -> None:
         covered = 0
@@ -228,6 +231,16 @@ class KnowledgeBase(FrozenRecord):
                 out[i] = bi
                 i = digits.find("1", i + 1)
         return tuple(out)
+
+    @cached_property
+    def ops(self) -> LatticeOps:
+        """The standard lattice operators over this knowledge base
+        (`axioms.standard_ops`), built on first use and then shared by every
+        term evaluated over it (`orthopair.eval_term`), with their memo of
+        lower approximations: one entry per mask asked for."""
+        from .axioms import standard_ops
+
+        return standard_ops(self)
 
     def partition(self) -> Partition:
         """kb in the format of the `verify` and `validate-logic` engines."""

@@ -1,0 +1,135 @@
+"""The reports of `verify` and `validate-logic`, written as they are decided.
+
+`write_runs` writes the axiom verdicts of each knowledge base that
+`verify` checks, `write_results` the verdict of each one that
+`validate-logic` checks, as text or as JSON: the JSON is what
+`json.dumps(report, indent=2, sort_keys=True)` of the whole report would
+write.  Only those two commands load this module.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+
+from _json import encode_basestring_ascii
+
+from .table import SCHEMA_VERSION
+
+if TYPE_CHECKING:
+    from .axioms import AxiomReport
+    from .logics import LogicValidation
+
+    Run = tuple[str, bool, list[AxiomReport]]  # label, certified, one report per axiom
+
+
+def write_runs(runs: Iterator[Run], fmt: str, out: TextIO) -> None:
+    """The `verify` report of each run, in the format `fmt`."""
+    _exact_counts(_write_runs_json if fmt == "json" else _write_runs_text, runs, out)
+
+
+def write_results(results: Iterator[LogicValidation], fmt: str, out: TextIO) -> None:
+    """The `validate-logic` report of each result, in the format `fmt`."""
+    _exact_counts(_write_results_json if fmt == "json" else _write_results_text, results, out)
+
+
+def _exact_counts(write: Callable[[Iterator, TextIO], None], items: Iterator,
+                  out: TextIO) -> None:
+    """`write(items, out)` for reports whose counts may exceed Python's
+    default 4,300-digit limit on int-to-str conversion: an exact verdict
+    covers 3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an
+    axiom."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        write(items, out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _write_json_list(key: str, entries: Iterator[str], out: TextIO) -> None:
+    """Write the report `{key: [...], "schema_version": SCHEMA_VERSION}` as
+    `json.dumps` would, `key` sorting first, from entries rendered at
+    depth 2, each as soon as it is made.  The first entry is made before
+    anything is written, so that an error in it leaves the output empty;
+    there is always one."""
+    first = next(entries)
+    out.write(f'{{\n  {encode_basestring_ascii(key)}: [\n{first}')
+    for entry in entries:
+        out.write(",\n" + entry)
+    out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
+
+
+def _write_runs_text(runs: Iterator[Run], out: TextIO) -> None:
+    """A verdict line per knowledge base, then each axiom that does not
+    hold, with its cases and witness."""
+    for label, ok, reports in runs:
+        lines = [f"{label}: {'PBZ-certified' if ok else 'FAILED'}\n"]
+        for r in reports:
+            if r.status != "holds":
+                witness = r.witness_names()
+                lines.append(
+                    f"  {r.axiom}: {r.status} (cases checked: {r.cases_checked})"
+                    + ("" if witness is None else f" witness: {witness}") + "\n"
+                )
+        out.write("".join(lines))
+
+
+def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
+    """The `verify` report, `{"runs": [...], "schema_version": 1}`: each run
+    is written when it is checked.  A sweep repeats the same few entries
+    without a witness in every run, so each of those is rendered once."""
+    from .jsontext import dumps  # here and below, so that text output never loads it
+
+    escape = encode_basestring_ascii
+    rendered: dict[tuple, str] = {}  # entries without a witness, by their fields
+
+    def axiom(r: AxiomReport) -> str:
+        if r.witness is not None:
+            return "        " + dumps(r.to_dict(), "        ")
+        key = r[:4]  # axiom, status, cases_checked, exhaustive
+        entry = rendered.get(key)
+        if entry is None:
+            entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
+        return entry
+
+    _write_json_list("runs", (
+        '    {\n      "axioms": [\n' + ",\n".join(map(axiom, reports))
+        + f'\n      ],\n      "certified": {"true" if ok else "false"},'
+        f'\n      "kb": {escape(label)}\n    }}'
+        for label, ok, reports in runs
+    ), out)
+
+
+def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None:
+    """The `validate-logic` report, `{"results": [...], "schema_version": 1}`,
+    each result written when it is decided."""
+    from .jsontext import dumps
+
+    _write_json_list(
+        "results", ("    " + dumps(result.to_dict(), "    ") for result in results), out
+    )
+
+
+def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:
+    """One verdict line per knowledge base, then the failure and witness of
+    an invalid one.  A valid verdict counts the concepts it covers, any
+    other the cases evaluated."""
+    for result in results:
+        rep = result.to_dict()
+        unit = "concepts" if rep["status"] == "valid" else "cases"
+        lines = [
+            f"{rep['logic']}: {rep['status']}"
+            f" (checked {rep['checked']} {unit}"
+            f"{', exhaustive' if rep['exhaustive'] else ''})"
+        ]
+        if "overlap" in rep:
+            lines.append(
+                f"  overlap between {rep['overlap'][0]} and {rep['overlap'][1]}"
+                f" on {rep['overlap'][2]}"
+            )
+        if "uncovered" in rep:
+            lines.append(f"  uncovered objects: {rep['uncovered']}")
+        if "witness" in rep:
+            lines.append(f"  witness concept: {rep['witness']}")
+        out.write("".join(line + "\n" for line in lines))

@@ -589,6 +589,84 @@ def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
             assert not loaded & {"hashlib", "_hashlib"}
 
 
+def _imported_by_main(argv: list[str]) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and the modules imported of one CLI command run as
+    the benchmark runs it, `python -m pbzlogic.cli`, where `cli` itself runs
+    as `__main__`: the imports that `-X importtime` reports."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "pbzlogic.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    return done.returncode, done.stdout, imported
+
+
+# What `classify` runs: the ingest, the region bits, the classification
+# report, and the seven values with the logics' value tables.
+CLASSIFY_MODULES = {
+    "pbzlogic", "pbzlogic._record", "pbzlogic.regions", "pbzlogic.report",
+    "pbzlogic.table", "pbzlogic.values",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("logic", ["seven", "triage"])
+def test_classify_imports_only_the_code_it_runs(demo_csv, logic, fmt):
+    """Neither the three formulations (`sevenvalued`) nor the mask-layer
+    logics (`logics`) load, and only JSON output loads the JSON writer."""
+    code, out, imported = _imported_by_main(
+        ["classify", "--input", str(demo_csv), "--logic", logic, "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["logic"] == logic
+    else:
+        assert out.startswith(f"logic: {logic}\n")
+    assert {m for m in imported if m.startswith("pbzlogic")} == CLASSIFY_MODULES | (
+        {"pbzlogic.jsontext"} if fmt == "json" else set())
+    assert not imported & {"dataclasses", "json"}
+    if BUILTIN_SHA256:
+        assert "hashlib" not in imported
+
+
+def test_list_logics_imports_only_the_values():
+    code, out, imported = _imported_by_main(["list-logics"])
+    assert code == 0
+    assert out.startswith("treatment: treat, wait\n")
+    assert {m for m in imported if m.startswith("pbzlogic")} == {
+        "pbzlogic", "pbzlogic._record", "pbzlogic.regions", "pbzlogic.table",
+        "pbzlogic.values",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", str(DEMO_CSV), "--logic", "belnap", "--format", "json"],
+    ["verify", "--input", str(DEMO_CSV), "--format", "json"],
+    ["verify", "--sizes", "2"],
+    ["validate-logic", "--logic", "triage", "--input", str(DEMO_CSV), "--format", "json"],
+    ["validate-logic", "--logic", "diagnosis", "--size", "2"],
+    ["list-logics"],
+], ids=["classify", "verify-input", "verify-sweep", "validate-input", "validate-sweep",
+        "list-logics"])
+def test_main_module_is_never_imported_again(argv):
+    """Under `python -m pbzlogic.cli`, `cli` runs as `__main__`: a module
+    that imported `pbzlogic.cli` would load and compile it a second time."""
+    code, _, imported = _imported_by_main(argv)
+    assert code == 0
+    assert "pbzlogic.cli" not in imported
+
+
+def test_no_module_imports_the_cli():
+    package = Path(pbzlogic.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        if source.name != "cli.py":
+            assert not re.search(
+                r"^\s*(from (\.|pbzlogic\.)cli |import pbzlogic\.cli\b"
+                r"|from (\.|pbzlogic) import .*\bcli\b)", source.read_text(), re.M
+            ), source.name
+
+
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 65_537])
 def test_sha256_hex_equals_hashlib(size):
     data = bytes(range(251)) * (size // 251) + bytes(range(size % 251))
@@ -637,11 +715,12 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
             assert out == f"table {demo_csv}: PBZ-certified\n"
         else:
             assert json.loads(out)["runs"][0]["certified"] is True
-        # the verdicts come from the block sizes: no mask layer, sweep or truth values
+        # the verdicts come from the block sizes: no mask layer, sweep or truth
+        # values; only the JSON report loads the JSON writer
         assert {m for m in loaded if m.startswith("pbzlogic")} == {
             "pbzlogic", "pbzlogic.cli", "pbzlogic.table", "pbzlogic.regions",
-            "pbzlogic.axioms",
-        }
+            "pbzlogic.axioms", "pbzlogic.verdicts",
+        } | ({"pbzlogic.jsontext"} if fmt == "json" else set())
         assert not loaded & {"json", "json.decoder", "hashlib", "dataclasses"}
 
 
@@ -662,7 +741,7 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
         # enumerator (`sweep`) is the test oracle only
         assert not loaded & {
             "dataclasses", "json", "json.decoder", "pbzlogic.universe", "pbzlogic.orthopair",
-            "pbzlogic.sweep",
+            "pbzlogic.sweep", "pbzlogic.sevenvalued",
         }
     # an invalid verdict wraps its witness's masks in the mask layer's sets,
     # and reads the spec file with `json`, but still never loads the sweep
@@ -712,7 +791,7 @@ def test_no_submodule_imports_dataclasses():
         "from pbzlogic import *\n"
         "sys.stderr.write(f'{len(names)} {\"dataclasses\" in sys.modules}')\n"
     )
-    assert done.stderr == "11 False"
+    assert done.stderr == "14 False"
 
 
 @pytest.mark.parametrize(

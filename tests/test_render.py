@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbzlogic import LogicSpec, builtin_logic, builtin_logics, report as report_module
-from pbzlogic.cli import TableConfig, _dumps, build_classification_report, load_table, render_json
+from pbzlogic.cli import TableConfig, build_classification_report, load_table, render_json
+from pbzlogic.jsontext import dumps
 from pbzlogic.report import render_classification_text
 
 # Ids and labels the encoder has to escape; "\x00" is left out because
@@ -109,7 +110,7 @@ def test_json_writer_equals_json_dumps(value, report):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
         assert written(render_json, report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)

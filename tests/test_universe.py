@@ -12,7 +12,7 @@ from pbzlogic import (
     default_universe,
     set_partitions,
 )
-from pbzlogic.sweep import all_partitions, all_subset_masks
+from pbzlogic.sweep import _block_ids, all_partitions, all_subset_masks
 
 from .oracle import oracle_lower, oracle_upper
 
@@ -207,6 +207,20 @@ def test_set_partition_order_is_pinned():
     kbs = list(all_knowledge_bases(u))
     assert [[list(block) for block in kb.blocks] for kb in kbs] == listed
     assert list(all_partitions(4)) == [kb.partition() for kb in kbs]
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_spliced_set_partitions_follow_the_block_ids(size):
+    """`set_partitions` splices each partition from one of the rest; it lists
+    them in the order, and numbers blocks as, grouping by `_block_ids` does."""
+    items = [f"x{i}" for i in range(size)]
+    grouped = []
+    for ids, sizes in _block_ids(size):
+        blocks = [[] for _ in sizes]
+        for item, b in zip(items, ids):
+            blocks[b].append(item)
+        grouped.append(blocks)
+    assert list(set_partitions(items)) == grouped
 
 
 def _derived_block_index(kb):
