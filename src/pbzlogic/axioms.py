@@ -89,8 +89,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+from .table import mask_of, members_of
 
 if TYPE_CHECKING:  # the mask layer: imported by the brute engine only
     from .table import Partition
@@ -347,12 +348,8 @@ class AxiomReport(NamedTuple):
         if self.witness is None:
             return None
         objects = self.universe.objects
-
-        def names(mask: int) -> list[str]:
-            digits = bin(mask)[:1:-1]  # digit i is object i; a shift per object is O(|U|)
-            return [name for name, digit in zip(objects, digits) if digit == "1"]
-
-        return [{"positive": names(a), "negative": names(b)} for a, b in self.witness]
+        return [{"positive": members_of(a, objects), "negative": members_of(b, objects)}
+                for a, b in self.witness]
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -450,26 +447,14 @@ def _state_count(mutation: str | None) -> int:
     return 4 if mutation == "drop-disjointness" else 3
 
 
-@functools.cache
-def _reduced_cases(types: int, cap: int) -> int:
-    """Number of nonempty sets of at most `cap` of `types` types."""
-    return sum(math.comb(types, k) for k in range(1, cap + 1))
-
-
 def _pairs(
-    types: Sequence[tuple[int, ...]],
-    positions: Sequence[int],
-    arity: int,
-    negative: int = 0,
+    types: Sequence[tuple[int, ...]], positions: Sequence[int], arity: int
 ) -> tuple[Pair, ...]:
-    """The r orthopairs giving object positions[i] the type types[i].
-
-    Objects outside `positions` are in the `negative` mask of every
-    variable, or in the boundary.
-    """
+    """The r orthopairs giving object positions[i] the type types[i], and
+    the other objects the boundary, OR-ing in `1 << i`: for a few objects."""
     out = []
     for var in range(arity):
-        pos, neg = 0, negative
+        pos, neg = 0, 0
         for i, state in zip(positions, types):
             if state[var] & _POSITIVE:
                 pos |= 1 << i
@@ -516,12 +501,17 @@ def _lift(
     size: int, members: Sequence[int], type_set: tuple[tuple[int, ...], ...], arity: int
 ) -> tuple[Pair, ...]:
     """A witness over a knowledge base of `size` objects from a failing type
-    set, placed on `members`, its first largest block (module docstring)."""
-    outside = (1 << size) - 1
-    for i in members:
-        outside ^= 1 << i
-    filled = type_set + (type_set[0],) * (len(members) - len(type_set))
-    return _pairs(filled, members, arity, outside)
+    set, placed on `members`, its first largest block (module docstring),
+    whose objects after the type set's repeat its first type."""
+    head = len(type_set)
+    rest = mask_of(members[head:], size)
+    outside = ((1 << size) - 1) ^ mask_of(members, size)
+    first = type_set[0]
+    return tuple(
+        (pos | (rest if first[var] & _POSITIVE else 0),
+         neg | outside | (rest if first[var] & _NEGATIVE else 0))
+        for var, (pos, neg) in enumerate(_pairs(type_set, members[:head], arity))
+    )
 
 
 def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
@@ -535,17 +525,16 @@ def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
     first failure.
     """
     states = _state_count(mutation)
-    types = states**axiom.arity
-    cap = 1 if axiom.pointwise else min(len(members), types)
+    cap = 1 if axiom.pointwise else min(len(members), states**axiom.arity)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
     size = len(partition.objects)
-    if failure is not None and checked <= budget:
+    if checked > budget:  # with no failure, `checked` counts every case
+        return AxiomReport(axiom.ident, "undecided", budget, False, None, partition)
+    if failure is not None:
         return AxiomReport(
             axiom.ident, "counterexample", checked, False,
             _lift(size, members, failure, axiom.arity), partition,
         )
-    if _reduced_cases(types, cap) > budget:
-        return AxiomReport(axiom.ident, "undecided", budget, False, None, partition)
     total = states ** (size * axiom.arity)
     return AxiomReport(axiom.ident, "holds", total, True, None, partition)
 

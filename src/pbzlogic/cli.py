@@ -196,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def runs() -> Iterator[tuple[str, bool, list[AxiomReport]]]:
         nonlocal failed
-        for label, partition in _partitions(args, args.sizes or "1,2,3,4", "--sizes"):
+        for label, partition in _partitions(args, args.sizes, "--sizes"):
             reports = axioms.check_blocks(partition, budget, args.mutate or None)
             ok = axioms.certified(reports)
             failed = failed or not ok
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the lattice axiom suite")
     _add_table_options(p, required=False)
-    p.add_argument("--sizes",
+    p.add_argument("--sizes", default="1,2,3,4",
                    help=f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
                    " e.g. 3,4 (default 1,2,3,4)")
     p.add_argument("--budget", type=int, default=None,

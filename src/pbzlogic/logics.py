@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
+from .table import mask_of, members_of
 from .values import (  # the logics themselves; these names stay importable from here
     BASE_SYMBOLS,
     LogicSpec,
@@ -70,7 +71,7 @@ from .values import (  # the logics themselves; these names stay importable from
 if TYPE_CHECKING:  # the mask layer is imported where it is used
     from .orthopair import Orthopair
     from .table import Partition
-    from .universe import KnowledgeBase, ObjectSet
+    from .universe import KnowledgeBase, ObjectSet, Universe
 
 
 class LogicAssignment(FrozenRecord):
@@ -115,15 +116,18 @@ def evaluate_logic(kb: KnowledgeBase, p: Orthopair, spec: LogicSpec) -> LogicAss
 
 
 class LogicValidation(NamedTuple):
-    """Outcome of checking disjointness and coverage over all concepts."""
+    """Outcome of checking disjointness and coverage over all concepts.  As
+    in `axioms.AxiomReport`, an invalid verdict's masks index the `objects`
+    of its `universe`: the partition checked, or kb's universe (the oracle)."""
 
     logic: str
     status: str  # "valid" | "invalid" | "undecided"
     checked: int
     exhaustive: bool
-    witness: Orthopair | None = None
-    overlap: tuple[str, str, ObjectSet] | None = None
-    uncovered: ObjectSet | None = None
+    witness: tuple[int, int] | None = None
+    overlap: tuple[str, str, int] | None = None
+    uncovered: int | None = None
+    universe: Partition | Universe | None = None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -132,34 +136,36 @@ class LogicValidation(NamedTuple):
             "checked": self.checked,
             "exhaustive": self.exhaustive,
         }
+
+        def names(mask: int) -> list[str]:
+            return members_of(mask, self.universe.objects)
+
         if self.witness is not None:
-            out["witness"] = {
-                "positive": list(self.witness.positive),
-                "negative": list(self.witness.negative),
-            }
+            positive, negative = map(names, self.witness)
+            out["witness"] = {"positive": positive, "negative": negative}
         if self.overlap is not None:
-            out["overlap"] = [self.overlap[0], self.overlap[1], list(self.overlap[2])]
+            out["overlap"] = [*self.overlap[:2], names(self.overlap[2])]
         if self.uncovered is not None:
-            out["uncovered"] = list(self.uncovered)
+            out["uncovered"] = names(self.uncovered)
         return out
 
 
 def _partition_failure(kb: KnowledgeBase, spec: LogicSpec, p: Orthopair) -> dict:
     """How the derived values fail to partition U on concept p: the first
     overlap between two of them, in spec order, else the uncovered objects,
-    as keyword arguments of a LogicValidation; empty when they partition U."""
+    as masks keyed as in a LogicValidation; empty when they partition U."""
     assignment = evaluate_logic(kb, p, spec)
-    covered = kb.universe.empty()
+    covered = 0
     for i, vdef in enumerate(spec.values):
-        s = assignment[vdef.label]
-        if (covered & s).bits:
+        s = assignment[vdef.label].bits
+        if covered & s:
             for other in spec.values[:i]:
-                shared = assignment[other.label] & s
-                if shared.bits:
+                shared = assignment[other.label].bits & s
+                if shared:
                     return {"overlap": (other.label, vdef.label, shared)}
-        covered = covered | s
-    if covered.bits != kb.universe.full_mask:
-        return {"uncovered": ~covered}
+        covered |= s
+    if covered != kb.universe.full_mask:
+        return {"uncovered": kb.universe.full_mask ^ covered}
     return {}
 
 
@@ -182,15 +188,13 @@ def _witness(partition: Partition, block: int, value: TruthValue) -> tuple[int, 
     region of the value, in the order positive, negative, boundary, and the
     rest into the first of them; every other object is negative.  The block
     has at least need(value) objects."""
-    from .universe import _mask
-
     rows = partition.rows(block)
     regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
     regions += regions[:1] * (len(rows) - len(regions))
     size = len(partition.objects)
-    inside = _mask(rows, size)
+    inside = mask_of(rows, size)
     positive, negative = (
-        _mask([i for i, r in zip(rows, regions) if r == region], size)
+        mask_of([i for i, r in zip(rows, regions) if r == region], size)
         for region in (POSITIVE, NEGATIVE))
     return inside, positive, ((1 << size) - 1) ^ inside | negative
 
@@ -201,13 +205,9 @@ def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
     it the first overlap in spec order, or else the uncovered objects, as
     `_partition_failure` finds them.  A derived value holds the witness
     block if its label is in `labels_of[value]`, the others if in that of F."""
-    from .orthopair import Orthopair
-    from .universe import ObjectSet, Universe
-
     inside, positive, negative = _witness(
         partition, _witness_block(partition.block_sizes, value), value)
-    universe = Universe(tuple(partition.objects))
-    full = universe.full_mask
+    full = (1 << len(partition.objects)) - 1
     held: list[tuple[str, int]] = []  # each derived value's objects, in spec order
     covered = 0
     for label in spec.labels():
@@ -215,14 +215,14 @@ def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
             full ^ inside if label in labels_of[TruthValue.FALSE] else 0)
         if covered & s:
             other, t = next((other, t) for other, t in held if t & s)
-            failure = {"overlap": (other, label, ObjectSet(universe, t & s))}
+            failure = {"overlap": (other, label, t & s)}
             break
         held.append((label, s))
         covered |= s
     else:
-        failure = {"uncovered": ObjectSet(universe, full ^ covered)}
-    witness = Orthopair(ObjectSet(universe, positive), ObjectSet(universe, negative))
-    return LogicValidation(spec.name, "invalid", checked, True, witness=witness, **failure)
+        failure = {"uncovered": full ^ covered}
+    return LogicValidation(spec.name, "invalid", checked, True, (positive, negative),
+                           universe=partition, **failure)
 
 
 def validate_blocks(
@@ -273,7 +273,9 @@ def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
         checked += 1
         failure = _partition_failure(kb, spec, p)
         if failure:
-            return LogicValidation(spec.name, "invalid", checked, True, witness=p, **failure)
+            return LogicValidation(spec.name, "invalid", checked, True,
+                                   (p.positive.bits, p.negative.bits),
+                                   universe=kb.universe, **failure)
     return LogicValidation(spec.name, "valid", checked, True)
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .table import Partition
-from .universe import KnowledgeBase, ObjectSet, Universe
 
-if TYPE_CHECKING:  # imported in `all_orthopairs`: the axiom engine, on masks, never loads it
+if TYPE_CHECKING:  # the mask layer, imported where its objects are built
     from .orthopair import Orthopair
+    from .universe import KnowledgeBase, Universe
 
 
 def all_subset_masks(size: int) -> range:
@@ -36,6 +36,7 @@ def all_orthopair_masks(size: int) -> Iterator[tuple[int, int]]:
 
 def all_orthopairs(universe: Universe) -> Iterator[Orthopair]:
     from .orthopair import Orthopair
+    from .universe import ObjectSet
 
     for a, b in all_orthopair_masks(universe.size):
         yield Orthopair(ObjectSet(universe, a), ObjectSet(universe, b))
@@ -75,16 +76,20 @@ def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
 def all_partitions(size: int) -> Iterator[Partition]:
     """One `Partition` of the objects of `default_universe(size)` per set
     partition, in the order and block numbering of `set_partitions`."""
-    objects = default_universe(size).objects
+    objects = tuple(f"o{i + 1}" for i in range(size))
     for ids, sizes in _block_ids(size):
         yield Partition(objects, ids, sizes)
 
 
 def all_knowledge_bases(universe: Universe) -> Iterator[KnowledgeBase]:
     """One knowledge base per set partition of the universe."""
+    from .universe import KnowledgeBase
+
     for ids, _ in _block_ids(universe.size):
         yield KnowledgeBase.from_block_ids(universe, ids)
 
 
 def default_universe(size: int) -> Universe:
+    from .universe import Universe
+
     return Universe(tuple(f"o{i + 1}" for i in range(size)))

@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
 
@@ -70,6 +70,24 @@ class Partition(NamedTuple):
     def rows(self, block: int) -> list[int]:
         """The positions of the objects of the given block, in order."""
         return [i for i, b in enumerate(self.block_ids) if b == block]
+
+
+def mask_of(indices: Iterable[int], size: int) -> int:
+    """The mask over `size` positions with the given bits set, from a byte
+    buffer: OR-ing in `1 << i` would copy the whole mask for every bit."""
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def members_of(mask: int, items: Sequence) -> list:
+    """The items at the set bits of `mask`, in order: bit i selects
+    `items[i]`.  Its binary digits are read once, in C."""
+    return list(itertools.compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
 
 
 class Table(NamedTuple):

@@ -6,7 +6,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
-from .table import Partition
+from .table import Partition, mask_of, members_of
 
 if TYPE_CHECKING:
     from .axioms import LatticeOps
@@ -14,18 +14,6 @@ if TYPE_CHECKING:
 
 class UniverseMismatchError(ValueError):
     """Two values built over different universes were combined."""
-
-
-def _mask(indices: Iterable[int], size: int) -> int:
-    """Bit mask over `size` positions with the given bits set.
-
-    The bits are set in a byte buffer, converted once: OR-ing `1 << i`
-    into an int instead copies the whole mask for every bit.
-    """
-    buf = bytearray((size + 7) >> 3)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
 
 
 class Universe(FrozenRecord):
@@ -78,7 +66,7 @@ class Universe(FrozenRecord):
         return ObjectSet(self, self.full_mask)
 
     def subset(self, names: Iterable[str]) -> "ObjectSet":
-        return ObjectSet(self, _mask(map(self.index, names), self.size))
+        return ObjectSet(self, mask_of(map(self.index, names), self.size))
 
 
 class ObjectSet(FrozenRecord):
@@ -125,8 +113,7 @@ class ObjectSet(FrozenRecord):
         )
 
     def __iter__(self) -> Iterator[str]:
-        digits = bin(self.bits)[:1:-1]  # digit i is object i; a shift per object is O(|U|)
-        return (name for name, digit in zip(self.universe.objects, digits) if digit == "1")
+        return iter(members_of(self.bits, self.universe.objects))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -210,7 +197,7 @@ class KnowledgeBase(FrozenRecord):
         members: list[list[int]] = [[] for _ in range(max(block_ids) + 1)]
         for i, b in enumerate(block_ids):
             members[b].append(i)
-        blocks = tuple(ObjectSet(universe, _mask(m, len(universe))) for m in members)
+        blocks = tuple(ObjectSet(universe, mask_of(m, len(universe))) for m in members)
         kb = cls(universe, blocks)  # checks that no block is empty
         kb.__dict__["block_index"] = tuple(block_ids)  # the cached_property's slot
         return kb
@@ -220,16 +207,13 @@ class KnowledgeBase(FrozenRecord):
         """Position in `blocks` of each object's class, by object index.
 
         `from_block_ids` (and so `from_attributes`) sets it.  Otherwise it is
-        built on first use from each block's binary digits (`bin()` and
-        `str.find`), which costs O(blocks * |U|) character work.
+        built on first use from each block's binary digits (`members_of`),
+        which costs O(blocks * |U|) character work.
         """
         out = [0] * self.universe.size
         for bi, block in enumerate(self.blocks):
-            digits = bin(block.bits)[:1:-1]  # digit i is object i
-            i = digits.find("1")
-            while i >= 0:
+            for i in members_of(block.bits, range(self.universe.size)):
                 out[i] = bi
-                i = digits.find("1", i + 1)
         return tuple(out)
 
     @cached_property

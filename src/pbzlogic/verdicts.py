@@ -39,6 +39,8 @@ def _exact_counts(write: Callable[[Iterator, TextIO], None], items: Iterator,
     default 4,300-digit limit on int-to-str conversion: an exact verdict
     covers 3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an
     axiom."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        return write(items, out)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -397,3 +397,19 @@ def test_a_witness_is_bottom_off_the_largest_block(mutation):
                     assert (pos & outside, neg & outside) == (0, outside)
                     if mutation != "drop-disjointness":
                         assert pos & neg == 0
+
+
+def test_a_lift_onto_a_large_block_takes_linear_time():
+    # the witness masks are built in byte buffers: setting each member's bit
+    # in an int would copy the |U|-bit mask for every member
+    type_set = ((1, 0, 2), (2, 1, 0), (0, 3, 1))
+    members = [1, 3, 4, 6, 7]
+    filled = type_set + (type_set[0],) * 2
+    outside = 0b1111_1111 ^ sum(1 << i for i in members)
+    assert axioms._lift(8, members, type_set, 3) == tuple(
+        (pos, neg | outside) for pos, neg in axioms._pairs(filled, members, 3))
+    size = 1 << 19
+    start = time.perf_counter()
+    witness = axioms._lift(size, list(range(1, size)), type_set, 3)
+    assert time.perf_counter() - start < 2.0
+    assert witness[0] == (0b10 | ((1 << size) - 1) ^ 0b1111, 0b101)

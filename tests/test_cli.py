@@ -429,6 +429,7 @@ def test_verify_size_seven_certifies(capsys):
          "--size takes sizes from 1 to 8, got '9'"),
         (["validate-logic", "--logic", "belnap", "--size", "0"],
          "--size takes sizes from 1 to 8, got '0'"),
+        (["verify", "--sizes", ""], "--sizes takes sizes from 1 to 8, got ''"),
     ],
 )
 def test_synthetic_sizes_are_bounded(capsys, argv, limit):
@@ -726,6 +727,34 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
 
 # A logic with no label for U, nor for any value but T.
 GAPPY = LogicSpec("gappy", (ValueDef("yes", up=("T",)),))
+# Triage with a second label for sT: the fourth case overlaps.
+OVERLAPPING = LogicSpec("overlapping", (
+    ValueDef("hospitalize", up=("sT",)),
+    ValueDef("confirm", up=("sT",), down=("sT",)),
+    ValueDef("expert", up=("U", "K", "fK"), down=("U", "K", "fK")),
+    ValueDef("discharge", down=("sF",)),
+))
+VALIDATE_GOLDENS = [
+    (f"validate_logic_{logic}_{where}.{'txt' if fmt == 'text' else fmt}",
+     ["--logic", logic, *argv, "--format", fmt], code)
+    for logic, code in (("gappy", 2), ("overlapping", 2), ("belnap", 0))
+    for where, argv in (("input", ["--input", str(DEMO_CSV)]), ("size_3", ["--size", "3"]))
+    if logic != "belnap" or where == "size_3"
+    for fmt in ("text", "json")
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", VALIDATE_GOLDENS,
+                         ids=[g for g, _, _ in VALIDATE_GOLDENS])
+def test_validate_logic_matches_golden_bytes(capsys, tmp_path, golden, argv, code):
+    # witness concepts, overlaps and uncovered objects, on a table and a sweep
+    specs = {"gappy": GAPPY, "overlapping": OVERLAPPING}
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(spec.to_json())
+    argv = [str(tmp_path / f"{arg}.json") if arg in specs else arg for arg in argv]
+    got, out, _ = run(capsys, "validate-logic", *argv)
+    assert got == code
+    assert out.encode("utf-8") == (DEMO_CSV.parent / "golden" / golden).read_bytes()
 
 
 def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
@@ -743,8 +772,8 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
             "dataclasses", "json", "json.decoder", "pbzlogic.universe", "pbzlogic.orthopair",
             "pbzlogic.sweep", "pbzlogic.sevenvalued",
         }
-    # an invalid verdict wraps its witness's masks in the mask layer's sets,
-    # and reads the spec file with `json`, but still never loads the sweep
+    # an invalid verdict reads the spec file with `json`, but still never
+    # loads the sweep
     spec = tmp_path / "gappy.json"
     spec.write_text(GAPPY.to_json())
     code, out, loaded = _loaded_by(
@@ -778,6 +807,54 @@ def test_no_command_builds_a_knowledge_base(capsys, monkeypatch, tmp_path, argv,
 
     monkeypatch.setattr(KnowledgeBase, "__init__", refuse)
     assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--input", str(DEMO_CSV)], 0),
+        (["verify", "--sizes", "1,2,3"], 0),
+        (["verify", "--sizes", "4", "--mutate", "pawlak-upper-on-both"], 2),
+        (["validate-logic", "--logic", "triage", "--input", str(DEMO_CSV)], 0),
+        (["validate-logic", "--logic", "GAPPY", "--input", str(DEMO_CSV)], 2),
+        (["validate-logic", "--logic", "triage", "--size", "4"], 0),
+        (["validate-logic", "--logic", "GAPPY", "--size", "4"], 2),
+    ],
+    ids=["verify-input", "verify-sweep", "verify-mutation", "validate-input",
+         "validate-input-invalid", "validate-sweep", "validate-sweep-invalid"],
+)
+def test_no_command_loads_the_mask_layer(tmp_path, argv, code, fmt):
+    """The engines take a `Partition` and return masks that it names, so
+    neither `universe` nor `orthopair` loads, and `verify` loads no record
+    class either."""
+    spec = tmp_path / "gappy.json"
+    spec.write_text(GAPPY.to_json())
+    argv = [str(spec) if arg == "GAPPY" else arg for arg in argv]
+    got, out, loaded = _loaded_by([*argv, "--format", fmt])
+    assert (got, bool(out)) == (code, True)
+    assert not loaded & {"pbzlogic.universe", "pbzlogic.orthopair"}
+    if argv[0] == "verify":
+        assert "pbzlogic._record" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sizes", "1"],
+    ["validate-logic", "--logic", "belnap", "--size", "1", "--format", "json"],
+], ids=["verify", "validate-logic"])
+def test_commands_run_without_the_int_digit_limit(argv):
+    """Python 3.10 before 3.10.7 has no limit on int-to-str conversion, nor
+    `sys.get_int_max_str_digits` and `sys.set_int_max_str_digits`."""
+    done = _fresh_python(
+        "import sys\n"
+        "for name in ('get_int_max_str_digits', 'set_int_max_str_digits'):\n"
+        "    if hasattr(sys, name):\n"
+        "        delattr(sys, name)\n"
+        "from pbzlogic.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout
 
 
 def test_no_submodule_imports_dataclasses():

@@ -140,14 +140,21 @@ def test_builtins_are_valid(name, size):
         assert result.checked == 3**size
 
 
+def _concept(kb, witness):
+    """The Orthopair over kb's universe of a verdict's witness masks."""
+    positive, negative = witness
+    return Orthopair(ObjectSet(kb.universe, positive), ObjectSet(kb.universe, negative))
+
+
 def test_coverage_failure_has_bottom_witness(six_kb):
     spec = LogicSpec("only-true", (ValueDef("yes", up=("T",)),))
     result = _validate_brute(six_kb, spec)
     assert result.status == "invalid"
     assert result.uncovered is not None
     # first concept in enumeration order is <empty, U>
-    assert set(result.witness.negative) == set(six_kb.universe)
-    assert len(result.witness.positive) == 0
+    witness = _concept(six_kb, result.witness)
+    assert set(witness.negative) == set(six_kb.universe)
+    assert len(witness.positive) == 0
 
 
 def test_disjointness_failure(six_kb):
@@ -215,12 +222,12 @@ NO_K = LogicSpec("no-K", (
 
 def test_budget_truncates_the_case_order(six_kb):
     assert validate_logic(six_kb, NO_K, budget=4) == (
-        "no-K", "undecided", 4, False, None, None, None
+        "no-K", "undecided", 4, False, None, None, None, None
     )
     for budget in (5, 6, None):
         result = validate_logic(six_kb, NO_K, budget=budget)
         assert (result.status, result.checked, result.exhaustive) == ("invalid", 5, True)
-        assert set(result.uncovered) == {"o1", "o2"}
+        assert set(ObjectSet(six_kb.universe, result.uncovered)) == {"o1", "o2"}
     # with blocks of one object, K is not realisable
     singletons = KnowledgeBase.from_block_ids(default_universe(3), [0, 1, 2])
     assert validate_logic(singletons, NO_K).status == "valid"
@@ -372,20 +379,23 @@ def test_rule_agrees_with_enumeration(size, specs):
                 continue
             assert 1 <= result.checked <= 7
             # the witness fails: some objects have two labels, or none
-            assignment = evaluate_logic(kb, result.witness, spec)
+            witness = _concept(kb, result.witness)
+            assignment = evaluate_logic(kb, witness, spec)
             if result.overlap is not None:
                 first, second, shared = result.overlap
+                shared = ObjectSet(kb.universe, shared)
                 assert shared.bits and shared <= assignment[first] & assignment[second]
             else:
-                assert result.uncovered.bits
-                assert all(assignment.labels_of(name) == () for name in result.uncovered)
+                uncovered = ObjectSet(kb.universe, result.uncovered)
+                assert uncovered.bits
+                assert all(assignment.labels_of(name) == () for name in uncovered)
             # exactly the failure the per-concept check finds on the witness,
             # whose block takes the failing case's value
             failure = {key: getattr(result, key) for key in ("overlap", "uncovered")
                        if getattr(result, key) is not None}
-            assert failure == _partition_failure(kb, spec, result.witness)
+            assert failure == _partition_failure(kb, spec, witness)
             sizes = [len(block) for block in kb.blocks]
             cases = [v for v in _CASE_ORDER if v.flag.bit_count() <= max(sizes)]
             value = cases[result.checked - 1]
-            assert block_values(kb, result.witness)[_witness_block(sizes, value)] is value
+            assert block_values(kb, witness)[_witness_block(sizes, value)] is value
     assert statuses == {"valid", "invalid"}

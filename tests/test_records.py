@@ -89,7 +89,8 @@ RECORDS = {
     }),
     "LogicValidation": (LogicValidation, {
         "logic": "triage", "status": "invalid", "checked": 5, "exhaustive": True,
-        "witness": Orthopair(AB, C), "overlap": ("a", "b", AB), "uncovered": C,
+        "witness": (AB.bits, C.bits), "overlap": ("a", "b", AB.bits), "uncovered": C.bits,
+        "universe": U,
     }),
 }
 SLOTTED = [
@@ -188,7 +189,7 @@ def test_reprs_are_unchanged():
     )
     assert repr(LogicValidation("triage", "valid", 27, True)) == (
         "LogicValidation(logic='triage', status='valid', checked=27, exhaustive=True,"
-        " witness=None, overlap=None, uncovered=None)"
+        " witness=None, overlap=None, uncovered=None, universe=None)"
     )
     assert repr(TableConfig(decision_column="d")).startswith(
         "TableConfig(attributes=None, decision_column='d', positive_tokens=("
