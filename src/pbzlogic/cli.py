@@ -21,17 +21,23 @@ code it runs, because a run without cached bytecode compiles every line
 it imports.  No module imports this one: under `python -m pbzlogic.cli`
 it runs as `__main__`, and an import would compile it a second time.
 
+The options of every subcommand are one table, `COMMANDS`.  `parse_exact`
+reads a well-formed command line, a subcommand followed by `--option
+value` pairs, straight off the table; any other goes to the argparse
+parser that `build_parser` builds from it.  So `argparse` loads only for
+help and usage errors, and `pathlib` only where `--logic` names a spec
+file.
+
 Exit status: 0 on success, 1 on data and usage errors and on a closed
 stdout, 2 when an axiom or logic check fails or stays undecided.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 from .table import (  # the ingest; these names stay importable from here
     DEFAULT_NEGATIVE,
@@ -43,13 +49,18 @@ from .table import (  # the ingest; these names stay importable from here
     Table,
     TableConfig,
     load_table,
+    read_bytes,
     sha256_hex,
 )
 
 if TYPE_CHECKING:  # each command imports the modules it uses
+    from argparse import ArgumentParser, Namespace
+
     from .axioms import AxiomReport
     from .logics import LogicValidation
     from .values import LogicSpec, TruthValue
+
+    Args = Namespace | SimpleNamespace  # what `build_parser` or `parse_exact` parsed
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -134,6 +145,8 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
         return builtin_logic(name_or_path)
     except KeyError:
         pass
+    from pathlib import Path  # here, so that only a spec file loads pathlib
+
     path = Path(name_or_path)
     if not path.exists():
         raise DataError(
@@ -145,14 +158,14 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
         raise DataError(f"{path}: bad logic spec: {exc}") from exc
 
 
-def _table_config(args: argparse.Namespace) -> TableConfig:
+def _table_config(args: Args) -> TableConfig:
     def tokens(value: str | None, default: tuple[str, ...] | None) -> tuple[str, ...] | None:
         if value is None:
             return default
         return tuple(t.strip() for t in value.split(","))
 
     return TableConfig(
-        attributes=tokens(args.attributes, None) if args.attributes else None,
+        attributes=tokens(args.attributes, None),
         decision_column=args.decision_column,
         positive_tokens=tokens(args.positive_tokens, DEFAULT_POSITIVE),
         negative_tokens=tokens(args.negative_tokens, DEFAULT_NEGATIVE),
@@ -160,20 +173,9 @@ def _table_config(args: argparse.Namespace) -> TableConfig:
     )
 
 
-def _add_table_options(sub: argparse.ArgumentParser, required: bool) -> None:
-    sub.add_argument("--input", required=required, help="CSV decision table")
-    sub.add_argument(
-        "--attributes", help="comma-separated condition attributes (default: all)"
-    )
-    sub.add_argument("--decision-column", help="decision column name (default: last)")
-    sub.add_argument("--positive-tokens", help="comma-separated positive decision tokens")
-    sub.add_argument("--negative-tokens", help="comma-separated negative decision tokens")
-    sub.add_argument("--unknown-tokens", help="comma-separated unknown decision tokens")
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: Args) -> int:
     config = _table_config(args)
-    data = Path(args.input).read_bytes()
+    data = read_bytes(args.input)
     table = load_table(args.input, config, data)
     input_sha256 = sha256_hex(data)
     del data  # not held while rendering
@@ -188,7 +190,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Args) -> int:
     from . import axioms, verdicts  # here, so that the other commands never load them
 
     budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
@@ -197,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def runs() -> Iterator[tuple[str, bool, list[AxiomReport]]]:
         nonlocal failed
         for label, partition in _partitions(args, args.sizes, "--sizes"):
-            reports = axioms.check_blocks(partition, budget, args.mutate or None)
+            reports = axioms.check_blocks(partition, budget, args.mutate)
             ok = axioms.certified(reports)
             failed = failed or not ok
             yield label, ok, reports
@@ -206,12 +208,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _partitions(args: argparse.Namespace, sizes: str,
+def _partitions(args: Args, sizes: str,
                 option: str) -> Iterator[tuple[str, Partition]]:
     """The label and partition of each knowledge base that `verify` and
     `validate-logic` check, one at a time: the `--input` table, else every
     set partition of each size in the comma-separated `sizes` of `option`."""
-    if args.input:
+    if args.input is not None:
         table = load_table(args.input, _table_config(args))
         yield f"table {args.input}", Partition(*table[:3])
         return
@@ -220,7 +222,7 @@ def _partitions(args: argparse.Namespace, sizes: str,
             yield f"size {size} partition {i}", partition
 
 
-def cmd_validate_logic(args: argparse.Namespace) -> int:
+def cmd_validate_logic(args: Args) -> int:
     from . import verdicts
 
     spec = _resolve_logic(args.logic)
@@ -240,7 +242,7 @@ def cmd_validate_logic(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def cmd_list_logics(args: argparse.Namespace) -> int:
+def cmd_list_logics(args: Args) -> int:
     from .values import builtin_logics
 
     for spec in builtin_logics():
@@ -250,62 +252,143 @@ def cmd_list_logics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error, as on a data error: argparse's own 2 is
-    the code of a failed check.  Subparsers inherit the class."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_DATA_ERROR, f"{self.prog}: error: {message}\n")
+# The help of an option that the help leaves out: argparse.SUPPRESS, which
+# argparse tests by identity.
+SUPPRESS = "==SUPPRESS=="
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Option(NamedTuple):
+    """One option of a subcommand, as both parsers read it.  `check` is the
+    tuple of its choices, `int` for an integer, or None for any string."""
+
+    flag: str
+    help: str | None = None
+    default: str | int | None = None
+    check: tuple[str, ...] | type[int] | None = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        """The attribute that holds the value, named as argparse names it."""
+        return self.flag[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    """A subcommand: its help, the function that runs it, and its options
+    in the order of its help."""
+
+    help: str
+    func: Callable[[Args], int]
+    options: tuple[Option, ...]
+
+
+def _table_options(required: bool) -> tuple[Option, ...]:
+    return (
+        Option("--input", "CSV decision table", required=required),
+        Option("--attributes", "comma-separated condition attributes (default: all)"),
+        Option("--decision-column", "decision column name (default: last)"),
+        Option("--positive-tokens", "comma-separated positive decision tokens"),
+        Option("--negative-tokens", "comma-separated negative decision tokens"),
+        Option("--unknown-tokens", "comma-separated unknown decision tokens"),
+    )
+
+
+FORMAT = Option("--format", default="text", check=("text", "json"))
+
+COMMANDS: dict[str, Command] = {
+    "classify": Command("classify every object of a decision table", cmd_classify, (
+        *_table_options(required=True),
+        Option("--logic", "built-in logic name, spec file path, or 'seven'", "seven"),
+        FORMAT,
+    )),
+    "verify": Command("run the lattice axiom suite", cmd_verify, (
+        *_table_options(required=False),
+        Option("--sizes", f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
+               " e.g. 3,4 (default 1,2,3,4)", "1,2,3,4"),
+        Option("--budget", "maximum cases evaluated per axiom; an axiom with more"
+               " reduced cases and no failure among them is undecided", check=int),
+        FORMAT,
+        Option("--mutate", SUPPRESS),  # test harness only
+    )),
+    "validate-logic": Command("check a logic spec for partition laws", cmd_validate_logic, (
+        *_table_options(required=False),
+        Option("--logic", "built-in logic name or spec file path", required=True),
+        Option("--size", f"synthetic universe size from 1 to {MAX_SYNTHETIC_SIZE}"
+               " when no input table is given: every set partition of it", 4, int),
+        Option("--budget", "maximum cases (realisable base values) evaluated per"
+               " knowledge base; a logic with more cases and no failure among them"
+               " is undecided", check=int),
+        FORMAT,
+    )),
+    "list-logics": Command("list the built-in logics", cmd_list_logics, ()),
+}
+
+
+def parse_exact(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` gives, attribute for attribute,
+    when `argv` is a subcommand followed by `--option value` pairs: each
+    option spelt in full, no value starting with "-", each value one that
+    argparse takes, and every required option given.  Of repeated values
+    the last wins, as in argparse.  None for any other `argv`, which `main`
+    leaves to argparse: help, abbreviations, `--option=value`, `--` and
+    every usage error."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = {option.dest: option.default for option in command.options}
+    flags = argv[1::2]
+    for flag, value in zip(flags, argv[2::2]):
+        option = options.get(flag)
+        if option is None or value.startswith("-"):
+            return None
+        if option.check is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif option.check is not None and value not in option.check:
+            return None
+        values[option.dest] = value
+    if any(option.required and option.flag not in flags for option in command.options):
+        return None
+    return SimpleNamespace(command=argv[0], func=command.func, **values)
+
+
+def build_parser() -> ArgumentParser:
+    """The argparse parser of `COMMANDS`, for help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Exits 1 on a usage error, as on a data error: argparse's own 2 is
+        the code of a failed check.  Subparsers inherit the class."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_DATA_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="pbzlogic",
         description="Seven-valued rough-set classification of decision tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify every object of a decision table")
-    _add_table_options(p, required=True)
-    p.add_argument("--logic", default="seven",
-                   help="built-in logic name, spec file path, or 'seven'")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run the lattice axiom suite")
-    _add_table_options(p, required=False)
-    p.add_argument("--sizes", default="1,2,3,4",
-                   help=f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
-                   " e.g. 3,4 (default 1,2,3,4)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="maximum cases evaluated per axiom; an axiom with"
-                   " more reduced cases and no failure among them is undecided")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--mutate", help=argparse.SUPPRESS)  # test harness only
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("validate-logic", help="check a logic spec for partition laws")
-    _add_table_options(p, required=False)
-    p.add_argument("--logic", required=True, help="built-in logic name or spec file path")
-    p.add_argument("--size", type=int, default=4,
-                   help=f"synthetic universe size from 1 to {MAX_SYNTHETIC_SIZE}"
-                   " when no input table is given: every set partition of it")
-    p.add_argument("--budget", type=int, default=None,
-                   help="maximum cases (realisable base values) evaluated per"
-                   " knowledge base; a logic with more cases and no failure"
-                   " among them is undecided")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_validate_logic)
-
-    p = sub.add_parser("list-logics", help="list the built-in logics")
-    p.set_defaults(func=cmd_list_logics)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            check = "choices" if isinstance(option.check, tuple) else "type"
+            p.add_argument(
+                option.flag, default=option.default, required=option.required,
+                help=argparse.SUPPRESS if option.help == SUPPRESS else option.help,
+                **{check: option.check})
+        p.set_defaults(func=command.func)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_exact(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

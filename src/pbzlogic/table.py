@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 from array import array
 from collections import Counter
 from operator import itemgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .values import TruthValue
 
 # The version of the JSON reports that the CLI writes for its tables.
@@ -48,8 +50,8 @@ class TableConfig(NamedTuple):
 
     def echo(self) -> dict:
         return {
-            "attributes": list(self.attributes) if self.attributes else "all",
-            "decision_column": self.decision_column or "last",
+            "attributes": "all" if self.attributes is None else list(self.attributes),
+            "decision_column": "last" if self.decision_column is None else self.decision_column,
             "positive_tokens": sorted(self.positive_tokens),
             "negative_tokens": sorted(self.negative_tokens),
             "unknown_tokens": sorted(self.unknown_tokens),
@@ -160,6 +162,24 @@ def _numbered_rows(reader, path: str | Path) -> Iterator[tuple[int, list[str]]]:
         raise DataError(f"{path}:{start}: {exc}") from exc
 
 
+def _pathlib_str(path: str | Path) -> str:
+    """`str(pathlib.PurePosixPath(path))`, without loading pathlib: the path
+    with no empty or "." parts, two leading slashes kept but three or more
+    made one, and "." for an empty path."""
+    path = os.fspath(path)
+    slashes = len(path) - len(path.lstrip("/"))
+    root = "//" if slashes == 2 else "/" if slashes else ""
+    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The content of the file at `path`, read as `Path(path).read_bytes()`
+    reads it: the file opened, and the name an OSError gives, is the path as
+    pathlib spells it, so "./x.csv" fails as "x.csv" and "" as "."."""
+    with open(_pathlib_str(path), "rb") as file:
+        return file.read()
+
+
 def sha256_hex(data: bytes) -> str:
     """The SHA-256 of `data` in hex, from the interpreter's own SHA-256
     module: `hashlib` would map OpenSSL's libcrypto for this one digest."""
@@ -210,7 +230,7 @@ def load_table(
     config = config or TableConfig()
     flag_of = _token_flags(config)
     if data is None:
-        data = Path(path).read_bytes()
+        data = read_bytes(path)
     pieces = _decoded_pieces(data)
     # csv.reader takes \r\n and a lone \r as line ends, as reading in text
     # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
@@ -239,11 +259,11 @@ def _read_table(rows: Iterator[tuple[int, list[str]]], path: str | Path,
     for i, name in enumerate(header):
         if column.setdefault(name, i) != i:
             raise DataError(f"{path}: duplicate column name {name!r}")
-    decision = config.decision_column or header[-1]
+    decision = header[-1] if config.decision_column is None else config.decision_column
     if decision not in header[1:]:
         raise DataError(f"{path}: decision column {decision!r} not found")
     condition_columns = [c for c in header[1:] if c != decision]
-    attributes = config.attributes or tuple(condition_columns)
+    attributes = tuple(condition_columns) if config.attributes is None else config.attributes
     for name in attributes:
         if name not in condition_columns:
             raise DataError(f"{path}: condition attribute {name!r} not found")

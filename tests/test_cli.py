@@ -365,6 +365,52 @@ def test_classify_missing_file_and_unknown_logic(capsys, demo_csv):
     assert "unknown logic" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--sizes", "1", "--mutate", "nope"], "unknown mutation 'nope'"),
+        (["verify", "--sizes", "1", "--mutate", ""], "unknown mutation ''"),
+        (["classify", "--attributes", "nope"], "condition attribute 'nope' not found"),
+        (["classify", "--attributes", " "], "condition attribute '' not found"),
+        (["classify", "--attributes", ""], "condition attribute '' not found"),
+        (["verify", "--input", str(DEMO_CSV), "--attributes", ""],
+         "condition attribute '' not found"),
+        (["classify", "--decision-column", "nope"], "decision column 'nope' not found"),
+        (["classify", "--decision-column", ""], "decision column '' not found"),
+    ],
+    ids=["mutate", "mutate-empty", "attributes", "attributes-blank", "attributes-empty",
+         "verify-attributes-empty", "decision-column", "decision-column-empty"],
+)
+def test_an_empty_value_is_no_absent_value(capsys, argv, message):
+    """An empty value is an error as any unknown value is, never the default."""
+    if argv[0] == "classify":
+        argv = [*argv, "--input", str(DEMO_CSV)]
+    if "--input" in argv:
+        message = f"{DEMO_CSV}: {message}"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("given, named", [
+    ("missing.csv", "missing.csv"), ("./missing.csv", "missing.csv"),
+    ("d//missing.csv", "d/missing.csv"), ("//missing.csv", "//missing.csv"),
+], ids=["plain", "dot", "double-slash", "leading-double-slash"])
+@TABLE_COMMANDS
+def test_a_missing_input_is_named_as_pathlib_names_it(capsys, monkeypatch, tmp_path, argv,
+                                                      given, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, out, err = run(capsys, *argv, "--input", given)
+    assert (code, out, err) == (1, "", f"error: [Errno 2] No such file or directory: {named!r}\n")
+
+
+def test_an_empty_input_path_is_the_current_directory(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["classify"], ["verify"]):
+        code, out, err = run(capsys, *argv, "--input", "")
+        assert (code, out, err) == (1, "", "error: [Errno 21] Is a directory: '.'\n")
+
+
 def test_verify_synthetic_sizes(capsys):
     code, out, _ = run(capsys, "verify", "--sizes", "1,2")
     assert code == 0
@@ -563,25 +609,35 @@ def _fresh_python(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_by(argv: list[str]) -> tuple[int, str, set[str]]:
-    """Exit code, stdout and the modules loaded of one CLI command run in a
-    fresh process."""
+def _loaded_by(argv: list[str]) -> tuple[int, str, str, set[str]]:
+    """Exit code, stdout, stderr and the modules loaded of one CLI command
+    run in a fresh process."""
     done = _fresh_python(
         "import sys\n"
         "from pbzlogic.cli import main\n"
-        f"code = main({argv!r})\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
         "sys.stderr.write(repr((code, sorted(sys.modules))))\n"
     )
-    code, modules = ast.literal_eval(done.stderr.splitlines()[-1])
-    return code, done.stdout, set(modules)
+    *err, last = done.stderr.splitlines(keepends=True)
+    code, modules = ast.literal_eval(last)
+    return code, done.stdout, "".join(err), set(modules)
+
+
+# What argparse and pathlib load: a well-formed command loads none of it,
+# and only a spec file named by `--logic` loads pathlib.
+PARSER_MODULES = {"argparse", "gettext", "locale", "shutil", "pathlib"}
 
 
 def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
     for logic in ("seven", "triage"):
-        code, out, loaded = _loaded_by(
+        code, out, _, loaded = _loaded_by(
             ["classify", "--input", str(demo_csv), "--logic", logic, "--format", "json"])
         assert code == 0
         assert json.loads(out)["logic"] == logic
+        assert not loaded & PARSER_MODULES
         assert not loaded & {
             "dataclasses", "json", "json.decoder", "pbzlogic.axioms", "pbzlogic.orthopair",
             "pbzlogic.universe", "pbzlogic.sweep",
@@ -629,6 +685,26 @@ def test_classify_imports_only_the_code_it_runs(demo_csv, logic, fmt):
     assert not imported & {"dataclasses", "json"}
     if BUILTIN_SHA256:
         assert "hashlib" not in imported
+
+
+def test_list_logics_loads_neither_argparse_nor_pathlib():
+    code, out, _, loaded = _loaded_by(["list-logics"])
+    assert (code, bool(out)) == (0, True)
+    assert not loaded & PARSER_MODULES
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["verify", "--help"], 0), (["frobnicate"], 1),
+    (["classify", "--input", str(DEMO_CSV), "--format", "xml"], 1),
+], ids=["help", "verify-help", "unknown-command", "bad-choice"])
+def test_help_and_usage_errors_come_from_argparse(argv, code):
+    got, out, err, loaded = _loaded_by(argv)
+    assert got == code
+    assert (out if code == 0 else err).startswith("usage: pbzlogic")
+    assert "argparse" in loaded
+    if code:
+        assert out == ""
+        assert "error: argument " in err
 
 
 def test_list_logics_imports_only_the_values():
@@ -710,8 +786,9 @@ def test_closed_stdout_exits_1(tmp_path, rows, head, unbuffered):
 
 def test_verify_input_loads_only_the_axiom_engine(demo_csv):
     for fmt in ("text", "json"):
-        code, out, loaded = _loaded_by(["verify", "--input", str(demo_csv), "--format", fmt])
+        code, out, _, loaded = _loaded_by(["verify", "--input", str(demo_csv), "--format", fmt])
         assert code == 0
+        assert not loaded & PARSER_MODULES
         if fmt == "text":
             assert out == f"table {demo_csv}: PBZ-certified\n"
         else:
@@ -759,9 +836,10 @@ def test_validate_logic_matches_golden_bytes(capsys, tmp_path, golden, argv, cod
 
 def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
     for fmt in ("text", "json"):
-        code, out, loaded = _loaded_by(
+        code, out, _, loaded = _loaded_by(
             ["validate-logic", "--logic", "triage", "--input", str(demo_csv), "--format", fmt])
         assert code == 0
+        assert not loaded & PARSER_MODULES
         if fmt == "text":
             assert out == "triage: valid (checked 729 concepts, exhaustive)\n"
         else:
@@ -776,11 +854,12 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
     # loads the sweep
     spec = tmp_path / "gappy.json"
     spec.write_text(GAPPY.to_json())
-    code, out, loaded = _loaded_by(
+    code, out, _, loaded = _loaded_by(
         ["validate-logic", "--logic", str(spec), "--input", str(demo_csv)])
     assert code == 2
     assert out.startswith("gappy: invalid (checked 2 cases, exhaustive)\n")
     assert not loaded & {"dataclasses", "pbzlogic.sweep"}
+    assert loaded & PARSER_MODULES == {"pathlib"}
 
 
 @pytest.mark.parametrize(
@@ -830,9 +909,11 @@ def test_no_command_loads_the_mask_layer(tmp_path, argv, code, fmt):
     class either."""
     spec = tmp_path / "gappy.json"
     spec.write_text(GAPPY.to_json())
+    spec_file = "GAPPY" in argv
     argv = [str(spec) if arg == "GAPPY" else arg for arg in argv]
-    got, out, loaded = _loaded_by([*argv, "--format", fmt])
+    got, out, _, loaded = _loaded_by([*argv, "--format", fmt])
     assert (got, bool(out)) == (code, True)
+    assert loaded & PARSER_MODULES == ({"pathlib"} if spec_file else set())
     assert not loaded & {"pbzlogic.universe", "pbzlogic.orthopair"}
     if argv[0] == "verify":
         assert "pbzlogic._record" not in loaded

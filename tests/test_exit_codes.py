@@ -1,7 +1,8 @@
 """Property test of the CLI's exit-code contract on fuzzed decision tables.
 
 Whatever the table and flags, a command exits 0, 1 or 2 without a
-traceback, and a data or usage error (exit 1) prints nothing on stdout.
+traceback, and a data or usage error (exit 1) prints nothing on stdout,
+on both parser routes: the exact parser and argparse.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pbzlogic.cli import main
+from pbzlogic.cli import main, parse_exact
 
 VALUES = st.sampled_from(["p", "q", "", " p ", 'x"y', "p\nq", "a,b", "p\r\nq"])
 TOKENS = st.sampled_from(["yes", "no", "?", "1", "0", "TRUE", ""])
@@ -52,8 +53,15 @@ def tables(draw) -> bytes:
 
 @st.composite
 def commands(draw, path: str) -> list[str]:
+    """A command line on either parser route: `--format` is now and then
+    spelt `--format=...` or abbreviated `--form`, which only argparse
+    parses, and an option may be given twice."""
     command = draw(st.sampled_from(["classify", "verify", "validate-logic"]))
-    argv = [command, "--input", path, "--format", draw(st.sampled_from(["text", "json"]))]
+    fmt = draw(st.sampled_from(["text", "json"]))
+    spelling = draw(st.sampled_from(["pair", "pair", "equals", "abbreviation"]))
+    argv = [command, "--input", path,
+            *{"pair": ["--format", fmt], "equals": [f"--format={fmt}"],
+              "abbreviation": ["--form", fmt]}[spelling]]
     if command != "verify":
         logics = ["treatment", "triage", "diagnosis", "belnap", "nope"]
         if command == "classify":
@@ -63,6 +71,9 @@ def commands(draw, path: str) -> list[str]:
         # the first branch makes budgets below 1 common
         budget = draw(st.one_of(st.integers(-2, 1), st.integers(-2, 600)))
         argv += ["--budget", str(budget)]
+    if draw(st.booleans()):  # a repeated option: the last value wins
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    event("exact parser" if parse_exact(argv) else "argparse")
     return argv
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import random
 import tracemalloc
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given, settings
@@ -296,3 +297,8 @@ def test_unicode_line_separators_stay_inside_a_cell(piece):
     data = "id,a,d\nx,p\x1cq,1\ny,p\x85q,0\nz,p\u2028q,?\n".encode("utf-8")
     table = _loaded(data, piece)
     assert table.objects == ["x", "y", "z"] and table.block_sizes == [1, 1, 1]
+
+
+@given(st.text(alphabet="/.a", max_size=8))
+def test_read_bytes_opens_the_path_pathlib_opens(path):
+    assert table_module._pathlib_str(path) == str(PurePosixPath(path))
