@@ -16,14 +16,14 @@ _MODULE_OF = {
     "AxiomReport": "axioms",
     "FORMULATIONS": "sevenvalued",
     "KnowledgeBase": "universe",
-    "LatticeOps": "axioms",
+    "LatticeOps": "terms",
     "LogicAssignment": "logics",
     "LogicSpec": "values",
     "LogicValidation": "logics",
     "ObjectSet": "universe",
     "Orthopair": "orthopair",
     "SevenPartition": "sevenvalued",
-    "TermError": "axioms",
+    "TermError": "terms",
     "TruthValue": "values",
     "Universe": "universe",
     "UniverseMismatchError": "universe",
@@ -38,8 +38,8 @@ _MODULE_OF = {
     "builtin_logic": "values",
     "builtin_logics": "values",
     "certified": "axioms",
-    "check_all": "axioms",
-    "check_axiom": "axioms",
+    "check_all": "brute",
+    "check_axiom": "brute",
     "classify": "sevenvalued",
     "default_universe": "sweep",
     "downward_part": "sevenvalued",
@@ -49,13 +49,13 @@ _MODULE_OF = {
     "kleene": "orthopair",
     "leq": "orthopair",
     "meet": "orthopair",
-    "mutated_ops": "axioms",
+    "mutated_ops": "brute",
     "part": "sevenvalued",
     "pawlak": "orthopair",
-    "run_mutation": "axioms",
+    "run_mutation": "brute",
     "set_partitions": "sweep",
     "seven_partition": "sevenvalued",
-    "standard_ops": "axioms",
+    "standard_ops": "terms",
     "top": "orthopair",
     "truth_leq": "values",
     "upward_part": "sevenvalued",

@@ -4,29 +4,30 @@ Every axiom is quantified over the orthopairs of the knowledge base's
 universe, represented as raw (positive, negative) bit-mask pairs.  Two
 engines reach a verdict:
 
-* the reduced engine decides an axiom exactly from a few cases on
-  single-block knowledge bases, by the argument below.  It runs whenever
-  pbzlogic builds the operators itself: the standard operators, or one of
+* the reduced engine, this module, decides an axiom exactly from a few
+  cases on single-block knowledge bases, by the argument below.  It checks
+  the operators pbzlogic builds itself: the standard operators, or one of
   the documented mutations.  The budget cuts it short: it evaluates its
   cases in a fixed order, and when there are more cases than the budget
   and none of the first `budget` fails, the verdict is undecided.  It
   takes a `table.Partition` (object names, a block id per object, the
   block sizes), not the knowledge base: `verify` passes a table or a set
-  partition of its sweep to `check_blocks`, so `verify --input` loads
-  neither the mask layer nor the sweep, and `check_axiom`, `check_all` and
-  `run_mutation` read one off a KnowledgeBase (`KnowledgeBase.partition`);
-* the brute engine enumerates every tuple of orthopairs while the tuple
-  count, 3^(|U| * arity), fits in the budget and samples otherwise, one
-  uniform state per object and variable; a sampled run that finds no
-  violation is reported as undecided, never as a pass.  It runs for
-  caller-supplied operators or elements, and in the tests as the oracle of
-  the reduced engine.
+  partition of its sweep to `check_blocks`, so `verify` loads neither the
+  mask layer nor the brute engine;
+* the brute engine (`brute._check_brute`) enumerates every tuple of
+  orthopairs while the tuple count, 3^(|U| * arity), fits in the budget
+  and samples otherwise, one uniform state per object and variable; a
+  sampled run that finds no violation is reported as undecided, never as
+  a pass.  It runs for caller-supplied operators or elements, and in the
+  tests as the oracle of the reduced engine.  The knowledge-base API
+  (`brute.check_axiom`, `check_all`, `run_mutation`) lives beside it and
+  reads a partition off a KnowledgeBase (`KnowledgeBase.partition`) for
+  this module.
 
-Each axiom is its equation in the term syntax of `orthopair.eval_term`
-(`_AXIOM_LIST`), compiled once into a function of mask pairs that takes
-its operators from a LatticeOps, so every mutation applies to it.  Its
-arity is the number of its variables; it is pointwise when no word
-applies ``L``.
+Each axiom is its equation in the term syntax of `terms` (`_AXIOM_LIST`),
+compiled once into a function of mask pairs that takes its operators from
+a LatticeOps, so every mutation applies to it.  Its arity is the number of
+its variables; it is pointwise when no word applies ``L``.
 
 Why the reduction is exact
 --------------------------
@@ -89,205 +90,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .table import mask_of, members_of
+from .terms import LatticeOps, Pair, _function, _ops, _Parser
 
-if TYPE_CHECKING:  # the mask layer: imported by the brute engine only
+if TYPE_CHECKING:
     from .table import Partition
-    from .universe import KnowledgeBase, Universe
-
-Pair = tuple[int, int]
+    from .universe import Universe
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class LatticeOps(NamedTuple):
-    """Raw orthopair operations over bit masks; the disjointness invariant
-    is not enforced at this level.  `lower(mask)` is the lower
-    approximation of a mask."""
-
-    full: int
-    lower: Callable[[int], int]
-    meet: Callable[[Pair, Pair], Pair]
-    join: Callable[[Pair, Pair], Pair]
-    kleene: Callable[[Pair], Pair]
-    brouwer: Callable[[Pair], Pair]
-    pawlak: Callable[[Pair], Pair]
-
-    @property
-    def bottom(self) -> Pair:
-        return (0, self.full)
-
-    @property
-    def top(self) -> Pair:
-        return (self.full, 0)
-
-    def upper(self, mask: int) -> int:
-        return self.full ^ self.lower(self.full ^ mask)
-
-    def leq(self, p: Pair, q: Pair) -> bool:
-        return self.meet(p, q) == p
-
-
-def standard_ops(kb: KnowledgeBase) -> LatticeOps:
-    """The standard operators of kb; each lower approximation is computed
-    by a block scan when first asked for, so nothing is built in 2^|U|."""
-    return _ops(kb.universe.full_mask, _Memo(kb.lower_mask).__getitem__)
-
-
-class _Memo(dict):
-    """The values of `fn`, each computed on its first lookup: a bound
-    `__getitem__` is a faster memo than `functools.cache`."""
-
-    def __init__(self, fn: Callable[[int], int]) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _ops(full: int, lower: Callable[[int], int]) -> LatticeOps:
-    """The standard operators on masks within `full`, with `lower` as the
-    lower approximation."""
-
-    def meet(p: Pair, q: Pair) -> Pair:
-        return (p[0] & q[0], p[1] | q[1])
-
-    def join(p: Pair, q: Pair) -> Pair:
-        return (p[0] | q[0], p[1] & q[1])
-
-    def kleene(p: Pair) -> Pair:
-        return (p[1], p[0])
-
-    def brouwer(p: Pair) -> Pair:
-        return (p[1], full ^ p[1])
-
-    def pawlak(p: Pair) -> Pair:
-        return (lower(p[0]), lower(p[1]))
-
-    return LatticeOps(full, lower, meet, join, kleene, brouwer, pawlak)
-
-
-def all_orthopair_masks(size: int) -> Iterator[Pair]:
-    """`sweep.all_orthopair_masks`, imported on first call, so that only
-    the brute engine loads the sweep and the mask layer."""
-    from .sweep import all_orthopair_masks
-
-    return all_orthopair_masks(size)
-
-
-# --- operator terms and equations -------------------------------------------
-
-
-class TermError(ValueError):
-    """Malformed operator term."""
-
-
-# The letters of a postfix word and the LatticeOps operator each applies.
-_WORD_OPS = {"-": "kleene", "~": "brouwer", "L": "pawlak"}
-
-
-class _Parser:
-    """Recursive descent over terms and equations, writing each one as a
-    Python expression in the operators `o` of a LatticeOps.
-
-    formula   := relations ["=>" relations]
-    relations := relation {"," relation}
-    relation  := term ("=" | "<=") term
-    term      := meet {"|" meet}
-    meet      := atom {"&" atom}
-    atom      := (variable | "0" | "1" | "(" term ")") ["^"] {"-" | "~" | "L"}
-    """
-
-    def __init__(self, text: str, variables: str) -> None:
-        self.text = text.replace(" ", "")
-        self.pos = 0
-        self.atoms = {"0": "o.bottom", "1": "o.top", **{v: v for v in variables}}
-
-    def _accept(self, token: str) -> bool:
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def _error(self, what: str) -> TermError:
-        return TermError(f"{what} at position {self.pos} in {self.text!r}")
-
-    def parse(self, rule: Callable[[], str]) -> str:
-        code = rule()
-        if self.pos != len(self.text):
-            raise self._error("trailing input")
-        return code
-
-    def formula(self) -> str:
-        code = self._relations()
-        if self._accept("=>"):
-            code = f"not ({code}) or ({self._relations()})"
-        return code
-
-    def _relations(self) -> str:
-        code = self._relation()
-        while self._accept(","):
-            code += " and " + self._relation()
-        return code
-
-    def _relation(self) -> str:
-        left = self.term()
-        if self._accept("<="):
-            return f"o.leq({left}, {self.term()})"
-        if not self.text.startswith("=>", self.pos) and self._accept("="):
-            return f"{left} == {self.term()}"
-        raise self._error("expected '=' or '<='")
-
-    def term(self) -> str:
-        code = self._meet()
-        while self._accept("|"):
-            code = f"o.join({code}, {self._meet()})"
-        return code
-
-    def _meet(self) -> str:
-        code = self._atom()
-        while self._accept("&"):
-            code = f"o.meet({code}, {self._atom()})"
-        return code
-
-    def _atom(self) -> str:
-        ch = self.text[self.pos : self.pos + 1]
-        if self._accept("("):
-            code = self.term()
-            if not self._accept(")"):
-                raise self._error("missing ')'")
-        elif ch in self.atoms:
-            self.pos += 1
-            code = self.atoms[ch]
-        else:
-            raise self._error(f"unexpected {ch!r}")
-        if self._accept("^") and self.text[self.pos : self.pos + 1] not in _WORD_OPS:
-            raise self._error("empty word after '^'")
-        while (ch := self.text[self.pos : self.pos + 1]) in _WORD_OPS:
-            self.pos += 1
-            code = f"o.{_WORD_OPS[ch]}({code})"
-        return code
-
-
-def _function(params: str, code: str) -> Callable:
-    """`lambda o, <params>: <code>`.  The code holds only names that the
-    parser writes, never text of its input, and sees no builtins."""
-    return eval(f"lambda {', '.join(('o', *params))}: {code}", {"__builtins__": {}})
-
-
-@functools.lru_cache(maxsize=256)
-def compile_term(term: str) -> Callable[[LatticeOps, Pair], Pair]:
-    """The function (ops, a) -> pair that a term in the one variable `a`
-    computes; a bare word over ``-``, ``~`` and ``L`` means ``a^word``."""
-    text = term.replace(" ", "")
-    if all(ch in _WORD_OPS for ch in text):
-        text = "a" + text
-    parser = _Parser(text, "a")
-    return _function("a", parser.parse(parser.term))
 
 
 class Axiom(NamedTuple):
@@ -373,67 +185,6 @@ def _largest_block(partition: Partition) -> list[int]:
     """The rows of the first largest block: where a counterexample goes."""
     sizes = partition.block_sizes
     return partition.rows(sizes.index(max(sizes)))
-
-
-def check_axiom(
-    kb: KnowledgeBase,
-    axiom_id: str,
-    budget: int = DEFAULT_BUDGET,
-    ops: LatticeOps | None = None,
-    elements: Sequence[Pair] | None = None,
-    seed: int = 0,
-) -> AxiomReport:
-    """Quantify one axiom over the orthopairs of kb's universe.
-
-    Without `ops` and `elements` the reduced engine checks the standard
-    operators: at most `budget` of its cases are evaluated, and an axiom
-    with more cases and no failure among the first `budget` is undecided.
-    Given either, the brute engine runs on them, and `seed` drives its
-    sampling.  A budget below 1 is a ValueError.
-    """
-    try:
-        axiom = AXIOMS[axiom_id]
-    except KeyError:
-        raise ValueError(f"unknown axiom {axiom_id!r}") from None
-    _check_budget(budget)
-    if ops is None and elements is None:
-        partition = kb.partition()
-        return _check_builtin(axiom, budget, None, _largest_block(partition), partition)
-    if ops is None:
-        ops = standard_ops(kb)
-    return _check_brute(kb, axiom, budget, ops, elements, seed)
-
-
-def _check_brute(kb: KnowledgeBase, axiom: Axiom, budget: int, ops: LatticeOps,
-                 elements: Sequence[Pair] | None, seed: int) -> AxiomReport:
-    """Enumerate (or, over budget, sample) every tuple of elements: the
-    given ones, or else the orthopairs of kb's universe, which are counted
-    and sampled without being listed."""
-    import random  # here, so that `verify`, which never samples, does not load it
-
-    size, arity = kb.universe.size, axiom.arity
-    elems = None if elements is None else list(elements)
-    total = 3 ** (size * arity) if elems is None else len(elems) ** arity
-    exact = total <= budget
-    if exact:
-        tuples: Iterable[tuple[Pair, ...]] = itertools.product(
-            all_orthopair_masks(size) if elems is None else elems, repeat=arity)
-    else:
-        rng = random.Random(seed)
-        # an orthopair tuple drawn uniformly gives each object a uniform type
-        types = list(itertools.product(range(3), repeat=arity))
-        tuples = (
-            _pairs(rng.choices(types, k=size), range(size), arity) if elems is None
-            else tuple(rng.choice(elems) for _ in range(arity))
-            for _ in range(budget)
-        )
-    checked = 0
-    for tup in tuples:
-        checked += 1
-        if not axiom.predicate(ops, *tup):
-            return AxiomReport(axiom.ident, "counterexample", checked, False, tup, kb.universe)
-    return AxiomReport(axiom.ident, "holds" if exact else "undecided", checked, exact, None,
-                       kb.universe)
 
 
 # --- reduced engine (module docstring, steps 1-4) ------------------------------
@@ -543,8 +294,8 @@ def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,
                  mutation: str | None = None) -> list[AxiomReport]:
     """Every axiom, under the standard operators or one documented
     mutation, on a partition: the reduced engine's one entry, which
-    `verify` runs on each table or set partition, and `check_all` and
-    `run_mutation` on `KnowledgeBase.partition()`.
+    `verify` runs on each table or set partition, and `brute.check_all`
+    and `brute.run_mutation` on `KnowledgeBase.partition()`.
 
     By the module docstring the verdicts depend only on the largest block,
     and the first largest block places a counterexample; the partition's
@@ -558,21 +309,6 @@ def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,
     return [
         _check_builtin(axiom, budget, mutation, members, partition)
         for axiom in _AXIOM_LIST
-    ]
-
-
-def check_all(
-    kb: KnowledgeBase,
-    budget: int = DEFAULT_BUDGET,
-    ops: LatticeOps | None = None,
-    elements: Sequence[Pair] | None = None,
-    seed: int = 0,
-) -> list[AxiomReport]:
-    if ops is None and elements is None:
-        return check_blocks(kb.partition(), budget)
-    return [
-        check_axiom(kb, ident, budget=budget, ops=ops, elements=elements, seed=seed)
-        for ident in AXIOMS
     ]
 
 
@@ -593,10 +329,6 @@ MUTATIONS: dict[str, str] = {
 }
 
 
-def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
-    return _mutate(standard_ops(kb), name)
-
-
 def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
     """`ops` with the one operator that the named mutation replaces."""
     lower, upper = ops.lower, ops.upper
@@ -613,11 +345,3 @@ def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
     if name == "drop-disjointness":
         return ops  # the mutation changes the enumeration, not the operators
     raise ValueError(f"unknown mutation {name!r}")
-
-
-def run_mutation(
-    kb: KnowledgeBase, name: str, budget: int = DEFAULT_BUDGET
-) -> list[AxiomReport]:
-    """Run every axiom against one documented mutation, with the budget
-    semantics of check_axiom."""
-    return check_blocks(kb.partition(), budget, name)

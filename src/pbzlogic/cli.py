@@ -148,7 +148,7 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
     from pathlib import Path  # here, so that only a spec file loads pathlib
 
     path = Path(name_or_path)
-    if not path.exists():
+    if not path.exists() or path.is_dir():  # Path("") is ".", a directory
         raise DataError(
             f"unknown logic {name_or_path!r}: not a built-in and not a file"
         )

@@ -4,8 +4,9 @@ An orthopair holds a positive region (certainly in the concept) and a
 negative region (certainly out); the rest of the universe is the boundary.
 The operations here are the meet, join, Kleene and Brouwer negations and
 the lower-approximation (Pawlak) operator.  `eval_term` evaluates a
-composite operator term on an orthopair through the axiom engine's term
-evaluator (`axioms.compile_term`), which works on raw mask pairs.
+composite operator term on an orthopair through the term language of
+`terms` (`terms.compile_term`), which works on raw mask pairs, as the
+axioms do.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._record import FrozenRecord
+from .terms import compile_term
 from .universe import KnowledgeBase, ObjectSet, Universe, UniverseMismatchError
 
 
@@ -102,12 +104,10 @@ def eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
     and parentheses.  Inside expressions the concept is written ``a``
     (``0``/``1`` are the bounds) and words attach as suffixes, e.g.
     ``a^~L~ & (a^~- & a^-~-)^L~-``.  The term is compiled once
-    (`axioms.compile_term`, the evaluator of the axioms) and evaluated on
-    p's two masks under kb's standard operators, built once per knowledge
-    base (`KnowledgeBase.ops`).
+    (`terms.compile_term`, which also compiles the axioms' equations) and
+    evaluated on p's two masks under kb's standard operators, built once
+    per knowledge base (`KnowledgeBase.ops`).
     """
-    from .axioms import compile_term
-
     if kb.universe != p.universe:
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
     pos, neg = compile_term(term)(kb.ops, (p.positive.bits, p.negative.bits))

@@ -9,7 +9,7 @@ from ._record import FrozenRecord
 from .table import Partition, mask_of, members_of
 
 if TYPE_CHECKING:
-    from .axioms import LatticeOps
+    from .terms import LatticeOps
 
 
 class UniverseMismatchError(ValueError):
@@ -219,10 +219,10 @@ class KnowledgeBase(FrozenRecord):
     @cached_property
     def ops(self) -> LatticeOps:
         """The standard lattice operators over this knowledge base
-        (`axioms.standard_ops`), built on first use and then shared by every
+        (`terms.standard_ops`), built on first use and then shared by every
         term evaluated over it (`orthopair.eval_term`), with their memo of
         lower approximations: one entry per mask asked for."""
-        from .axioms import standard_ops
+        from .terms import standard_ops
 
         return standard_ops(self)
 

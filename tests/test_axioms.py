@@ -15,8 +15,8 @@ from pbzlogic import (
     default_universe,
     run_mutation,
 )
-from pbzlogic import axioms
-from pbzlogic.axioms import mutated_ops, standard_ops
+from pbzlogic import axioms, brute
+from pbzlogic.brute import mutated_ops, standard_ops
 from pbzlogic.sweep import all_orthopair_masks
 
 
@@ -188,7 +188,7 @@ def test_size_six_budget_cuts_the_reduced_engine_short(monkeypatch, six_kb):
         assert kb.universe.size < 6, "operators built on the whole knowledge base"
         return standard_ops(kb)
 
-    monkeypatch.setattr(axioms, "standard_ops", small_ops_only)
+    monkeypatch.setattr(brute, "standard_ops", small_ops_only)
     reports = check_all(six_kb, budget=20)
     undecided = {r.axiom for r in reports if r.status == "undecided"}
     assert undecided == {"distributivity", "A2", "A5", "A6", "A9"}
@@ -371,8 +371,8 @@ def test_sixteen_objects_certify_without_enumeration(monkeypatch):
         assert kb.universe.size <= 9, "operators built on the whole knowledge base"
         return standard_ops(kb)
 
-    monkeypatch.setattr(axioms, "all_orthopair_masks", refuse_orthopairs)
-    monkeypatch.setattr(axioms, "standard_ops", small_ops_only)
+    monkeypatch.setattr(brute, "all_orthopair_masks", refuse_orthopairs)
+    monkeypatch.setattr(brute, "standard_ops", small_ops_only)
     kb = _skewed_kb(16, blocks=7)
     reports = check_all(kb)
     assert certified(reports)

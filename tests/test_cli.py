@@ -365,6 +365,15 @@ def test_classify_missing_file_and_unknown_logic(capsys, demo_csv):
     assert "unknown logic" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "validate-logic"])
+@pytest.mark.parametrize("logic", ["", "directory"])
+def test_a_logic_naming_a_directory_is_unknown(capsys, command, logic):
+    # "" reads as the path ".", a directory: neither is a spec file
+    logic = str(DEMO_CSV.parent) if logic == "directory" else logic
+    got = run(capsys, command, "--input", str(DEMO_CSV), "--logic", logic)
+    assert got == (1, "", f"error: unknown logic {logic!r}: not a built-in and not a file\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -797,7 +806,7 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
         # values; only the JSON report loads the JSON writer
         assert {m for m in loaded if m.startswith("pbzlogic")} == {
             "pbzlogic", "pbzlogic.cli", "pbzlogic.table", "pbzlogic.regions",
-            "pbzlogic.axioms", "pbzlogic.verdicts",
+            "pbzlogic.axioms", "pbzlogic.terms", "pbzlogic.verdicts",
         } | ({"pbzlogic.jsontext"} if fmt == "json" else set())
         assert not loaded & {"json", "json.decoder", "hashlib", "dataclasses"}
 
@@ -906,7 +915,8 @@ def test_no_command_builds_a_knowledge_base(capsys, monkeypatch, tmp_path, argv,
 def test_no_command_loads_the_mask_layer(tmp_path, argv, code, fmt):
     """The engines take a `Partition` and return masks that it names, so
     neither `universe` nor `orthopair` loads, and `verify` loads no record
-    class either."""
+    class and not the knowledge-base API with the brute engine (`brute`)
+    either."""
     spec = tmp_path / "gappy.json"
     spec.write_text(GAPPY.to_json())
     spec_file = "GAPPY" in argv
@@ -916,7 +926,7 @@ def test_no_command_loads_the_mask_layer(tmp_path, argv, code, fmt):
     assert loaded & PARSER_MODULES == ({"pathlib"} if spec_file else set())
     assert not loaded & {"pbzlogic.universe", "pbzlogic.orthopair"}
     if argv[0] == "verify":
-        assert "pbzlogic._record" not in loaded
+        assert not loaded & {"pbzlogic._record", "pbzlogic.brute"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -949,7 +959,26 @@ def test_no_submodule_imports_dataclasses():
         "from pbzlogic import *\n"
         "sys.stderr.write(f'{len(names)} {\"dataclasses\" in sys.modules}')\n"
     )
-    assert done.stderr == "14 False"
+    assert done.stderr == "16 False"
+
+
+def test_term_evaluation_leaves_the_axiom_engine_unloaded():
+    """`eval_term`, and through it the lattice formulation of the seven
+    parts, compile their terms with `terms`, not with the axiom engine."""
+    done = _fresh_python(
+        "import sys\n"
+        "from pbzlogic import KnowledgeBase, Orthopair, Universe, eval_term, seven_partition\n"
+        "u = Universe.of('o1', 'o2', 'o3')\n"
+        "kb = KnowledgeBase.from_partition(u, [u.subset(['o1', 'o2']), u.subset(['o3'])])\n"
+        "p = Orthopair.from_names(u, ['o1', 'o3'], ['o2'])\n"
+        "print(eval_term(kb, p, 'L-~'))\n"
+        "print(seven_partition(kb, p, 'lattice').counts())\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('pbzlogic'))))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stderr))
+    assert "pbzlogic.terms" in loaded
+    assert not loaded & {"pbzlogic.axioms", "pbzlogic.brute"}
 
 
 @pytest.mark.parametrize(

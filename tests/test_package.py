@@ -27,9 +27,9 @@ def test_all_is_unchanged_and_every_name_resolves():
 
 
 def test_submodule_import_still_works():
-    from pbzlogic import axioms
+    from pbzlogic import brute
 
-    assert pbzlogic.check_axiom is axioms.check_axiom
+    assert pbzlogic.check_axiom is brute.check_axiom
 
 
 def test_unknown_attribute_raises_attribute_error():
