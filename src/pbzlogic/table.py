@@ -15,8 +15,7 @@ import io
 import itertools
 import os
 from array import array
-from collections import Counter
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
@@ -33,8 +32,9 @@ DEFAULT_POSITIVE = ("1", "yes", "true", "positive")
 DEFAULT_NEGATIVE = ("0", "no", "false", "negative")
 DEFAULT_UNKNOWN = ("?", "unknown", "")
 
-# `load_table` decodes its input in pieces of at least this many bytes.
-DECODE_PIECE = 1 << 16
+# `load_table` decodes its input in pieces of at least this many bytes:
+# while csv.reader reads a piece, `io.StringIO` holds it as 4-byte code points.
+DECODE_PIECE = 1 << 13
 
 
 class DataError(ValueError):
@@ -136,16 +136,27 @@ def _token_flags(config: TableConfig) -> dict[str, int]:
     return flag_of
 
 
-def _picker(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
-    """A function from a row to the tuple of its cells at `indices`."""
+def _block_key(cells: list[str]) -> str:
+    """One string for a list of cells, which two lists of one length share
+    only where they are equal: one cell itself, or several joined at a NUL;
+    where a cell holds a NUL, which would make the join ambiguous, the repr
+    of the cells, which holds none."""
+    key = "\0".join(cells)
+    return key if len(cells) < 2 or key.count("\0") == len(cells) - 1 else repr(cells)
+
+
+def _row_key(indices: list[int]) -> tuple[Callable, Callable]:
+    """`pick` and `join`, functions in C such that `join(pick(row))` is the
+    `_block_key` of the row's cells at `indices`, or where a cell holds a
+    NUL, a string with more NULs than any `_block_key` of as many cells."""
     if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices) if indices else lambda row: ()
+        return itemgetter(indices[0]), str
+    return itemgetter(*indices) if indices else itemgetter(slice(0)), "\0".join
 
 
 def _numbered_rows(reader, path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows of a `csv.reader`, each with the line it starts on.
+    """The non-blank rows of a `csv.reader`, each with the line it starts on;
+    `load_table` reads its rows again through this only to cite an error.
 
     A row ends on the reader's `line_num`, so the next one starts on the
     line after; blank lines and line breaks inside quoted cells count.  A
@@ -212,6 +223,19 @@ def _decoded_pieces(data: bytes) -> Iterator[str]:
         start = end
 
 
+def _reader(pieces: Iterable[str]):
+    """A `csv.reader` over the decoded pieces.  It takes \\r\\n and a lone
+    \\r as line ends, as reading in text mode would, and keeps line breaks
+    inside quoted cells; a UTF-8 BOM stays in the (unused) id column name."""
+    return csv.reader(itertools.chain.from_iterable(
+        io.StringIO(piece, newline="") for piece in pieces))
+
+
+class _RowFault(Exception):
+    """A fault of one row: its position among the non-blank rows (the
+    header is row 0) and the message."""
+
+
 def load_table(
     path: str | Path, config: TableConfig | None = None, data: bytes | None = None
 ) -> Table:
@@ -220,39 +244,78 @@ def load_table(
     The first column holds object ids; the decision column (default: last)
     maps to positive/negative/unknown through the configured token sets,
     which must be disjoint.  Each row adds its id and block id, and ORs its
-    decision's bit into its block's flag; no list of rows is kept.  `data`
-    is the file's content when the caller has read it already (to hash
-    exactly the bytes parsed); otherwise the file at `path` is read.  A
-    DataError about a row cites the line on which the row starts.  The
-    content is decoded piece by piece, but a decode error anywhere in it
-    is reported before any DataError, as when it was decoded whole.
+    decision's bit into its block's flag; no list of rows and no line
+    number is kept.  `data` is the file's content when the caller has read
+    it already (to hash exactly the bytes parsed); otherwise the file at
+    `path` is read.
+
+    Empty and repeated ids are looked for after the pass, once its block
+    dict is freed, among the ids read up to the first faulty row; so the
+    error reported is still the first in file order, and within a row a
+    cell count comes before an empty id, then a repeated id, then an
+    unmapped token.  A DataError about a row cites the line on which the
+    row starts, found by reading the rows again.  The content is decoded
+    piece by piece, but a decode error anywhere in it is reported before
+    any DataError, as when it was decoded whole.
     """
     config = config or TableConfig()
     flag_of = _token_flags(config)
     if data is None:
         data = read_bytes(path)
     pieces = _decoded_pieces(data)
-    # csv.reader takes \r\n and a lone \r as line ends, as reading in text
-    # mode would, and keeps line breaks inside quoted fields; a UTF-8 BOM
-    # stays in the (unused) id column name.
-    reader = csv.reader(itertools.chain.from_iterable(
-        io.StringIO(piece, newline="") for piece in pieces))
+    objects: list[str] = []
     try:
-        return _read_table(_numbered_rows(reader, path), path, config, flag_of)
+        try:
+            table = _read_table(_reader(pieces), objects, path, config, flag_of)
+            fault = None
+        except _RowFault as exc:
+            fault = exc.args
+        except csv.Error as exc:  # the rows are read again up to it, and it recurs
+            fault = (len(objects) + 1, str(exc))
+        fault = _bad_id(objects) or fault
+        if fault:
+            row, message = fault
+            rows = _numbered_rows(_reader(_decoded_pieces(data)), path)
+            line, _ = next(itertools.islice(rows, row, None))
+            raise DataError(f"{path}:{line}: {message}")
     except DataError:
         for _ in pieces:  # raises on the first undecodable byte left
             pass
         raise
+    return table
 
 
-def _read_table(rows: Iterator[tuple[int, list[str]]], path: str | Path,
+def _bad_id(objects: list[str]) -> tuple[int, str] | None:
+    """The row (the header is row 0) and error of the first empty or
+    repeated object id, or None.  Whether there is one is read off a sorted
+    copy of the ids, where an empty id comes first and a repeated one next
+    to itself: a set of them would take four times the memory, and six
+    times while it grows."""
+    ids = sorted(objects)
+    if ids[:1] != [""] and not any(map(eq, ids, itertools.islice(ids, 1, None))):
+        return None
+    del ids
+    seen: set[str] = set()
+    for row, oid in enumerate(objects, 1):
+        if not oid:
+            return row, "empty object id"
+        if oid in seen:
+            return row, f"duplicate object id {oid!r}"
+        seen.add(oid)
+    return None
+
+
+def _read_table(reader, objects: list[str], path: str | Path,
                 config: TableConfig, flag_of: dict[str, int]) -> Table:
-    """The `Table` of `load_table`, from the numbered rows of its file."""
+    """The `Table` of `load_table`, from a `csv.reader` of its file.  The id
+    of each row is appended to `objects` as it is read, and left unchecked;
+    a faulty row is a `_RowFault`."""
+    rows = filter(None, reader)  # the non-blank rows
     header_row = next(rows, None)
     first_row = next(rows, None)
     if first_row is None:
         raise DataError(f"{path}: expected a header row and at least one data row")
-    header = [cell.strip() for cell in header_row[1]]
+    header = [cell.strip() for cell in header_row]
     if len(header) < 2:
         raise DataError(f"{path}: need an id column and at least one more column")
     column: dict[str, int] = {}
@@ -261,59 +324,54 @@ def _read_table(rows: Iterator[tuple[int, list[str]]], path: str | Path,
             raise DataError(f"{path}: duplicate column name {name!r}")
     decision = header[-1] if config.decision_column is None else config.decision_column
     if decision not in header[1:]:
-        raise DataError(f"{path}: decision column {decision!r} not found")
+        found = "is the object id column" if decision == header[0] else "not found"
+        raise DataError(f"{path}: decision column {decision!r} {found}")
     condition_columns = [c for c in header[1:] if c != decision]
     attributes = tuple(condition_columns) if config.attributes is None else config.attributes
+    role = {header[0]: "is the object id column", decision: "is the decision column"}
     for name in attributes:
         if name not in condition_columns:
-            raise DataError(f"{path}: condition attribute {name!r} not found")
+            raise DataError(
+                f"{path}: condition attribute {name!r} {role.get(name, 'not found')}")
     attribute_at = [column[a] for a in attributes]
+    pick, join = _row_key(attribute_at)
     decision_at = column[decision]
     width = len(header)
 
-    pick = _picker(attribute_at)
-    objects: list[str] = []
-    seen: set[str] = set()
     block_ids = array("I")
+    block_sizes: list[int] = []
     flags = bytearray()
     firsts = array("I")
-    # `block_of` maps each stripped vector to its block and, as an alias,
-    # each vector as read (a cell read with outer spaces never equals a
-    # stripped one); `flag_of_cell` maps each decision cell as read.  So a
-    # row whose cells were seen before costs one lookup for each.
-    block_of: dict[tuple[str, ...], int] = {}
+    # `block_of` maps the `_block_key` of each stripped vector to its block
+    # and, as an alias, that of each vector as read (a cell read with outer
+    # spaces never equals a stripped one); `flag_of_cell` maps each decision
+    # cell as read.  So a row whose cells were seen before, and hold no NUL,
+    # costs one lookup for each.
+    block_of: dict[str, int] = {}
     flag_of_cell: dict[str, int] = {}
-    for lineno, row in itertools.chain((first_row,), rows):
+    for row in itertools.chain((first_row,), rows):
         if len(row) != width:
-            raise DataError(
-                f"{path}:{lineno}: row has {len(row)} cells, header has {width}"
-            )
-        oid = row[0].strip()
-        if not oid:
-            raise DataError(f"{path}:{lineno}: empty object id")
-        if oid in seen:
-            raise DataError(f"{path}:{lineno}: duplicate object id {oid!r}")
-        seen.add(oid)
+            raise _RowFault(len(objects) + 1, f"row has {len(row)} cells, header has {width}")
+        objects.append(row[0].strip())
         cell = row[decision_at]
         flag = flag_of_cell.get(cell)
         if flag is None:
             flag = flag_of.get(cell.strip().lower())
             if flag is None:
-                raise DataError(
-                    f"{path}:{lineno}: decision token {cell.strip()!r} is not mapped"
-                )
+                raise _RowFault(len(objects), f"decision token {cell.strip()!r} is not mapped")
             flag_of_cell[cell] = flag
-        vector = pick(row)
-        b = block_of.get(vector)
+        key = join(pick(row))
+        b = block_of.get(key)
         if b is None:
-            b = block_of.setdefault(tuple([c.strip() for c in vector]), len(flags))
-            block_of[vector] = b
+            stripped = _block_key([row[i].strip() for i in attribute_at])
+            b = block_of.setdefault(stripped, len(flags))
+            if key != stripped:  # outer spaces or a NUL: alias the cells as read
+                block_of[_block_key([row[i] for i in attribute_at])] = b
             if b == len(flags):
                 flags.append(0)
-                firsts.append(len(objects))
+                block_sizes.append(0)
+                firsts.append(len(block_ids))
         flags[b] |= flag
-        objects.append(oid)
+        block_sizes[b] += 1
         block_ids.append(b)
-    rows_in = Counter(block_ids)
-    block_sizes = [rows_in[b] for b in range(len(flags))]
     return Table(objects, block_ids, block_sizes, flags, firsts)

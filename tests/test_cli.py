@@ -386,12 +386,20 @@ def test_a_logic_naming_a_directory_is_unknown(capsys, command, logic):
          "condition attribute '' not found"),
         (["classify", "--decision-column", "nope"], "decision column 'nope' not found"),
         (["classify", "--decision-column", ""], "decision column '' not found"),
+        (["classify", "--decision-column", "id"],
+         "decision column 'id' is the object id column"),
+        (["classify", "--attributes", "disease"],
+         "condition attribute 'disease' is the decision column"),
+        (["classify", "--attributes", "id"],
+         "condition attribute 'id' is the object id column"),
     ],
     ids=["mutate", "mutate-empty", "attributes", "attributes-blank", "attributes-empty",
-         "verify-attributes-empty", "decision-column", "decision-column-empty"],
+         "verify-attributes-empty", "decision-column", "decision-column-empty",
+         "decision-column-id", "attributes-decision", "attributes-id"],
 )
 def test_an_empty_value_is_no_absent_value(capsys, argv, message):
-    """An empty value is an error as any unknown value is, never the default."""
+    """An empty value is an error as any unknown value is, never the default;
+    a column that exists but holds the ids or the decisions is named so."""
     if argv[0] == "classify":
         argv = [*argv, "--input", str(DEMO_CSV)]
     if "--input" in argv:

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import PurePosixPath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbzlogic import (
@@ -33,6 +33,8 @@ from pbzlogic.cli import (
     render_json,
 )
 from pbzlogic.logics import BASE_SYMBOLS, single_label
+
+from .oracle import oracle_table
 
 DECISION = {"positive": "1", "negative": "0", "unknown": "?"}
 
@@ -163,9 +165,11 @@ def test_report_objects_read_as_a_list_of_entries(demo_csv):
     assert repr(objects) == repr(entries)
 
 
-# Measured with Python 3.11: a 5.7 MB peak for 16,384 rows in 16,384 blocks.
-# A |U|-bit mask per block, as the mask layer builds them, takes 28 MB here.
-PEAK_BOUND_MB = 12
+# Measured with Python 3.11: a 3.0 MB peak for 16,384 rows in 16,384 blocks,
+# against 5.4 MB when the ingest kept a tuple key per block and a set of the
+# ids beside its block dict.  A |U|-bit mask per block, as the mask layer
+# builds them, takes 28 MB here.
+PEAK_BOUND_MB = 4
 
 
 def test_table_memory_is_linear_in_rows():
@@ -197,11 +201,12 @@ def _uniform_csv(rows: int, attributes: int, values: int) -> bytes:
 
 
 # 65,536 rows in 12^3 = 1,728 blocks.  Measured with Python 3.11: rendering
-# its 5.4 MB of JSON peaks at 0.24 MB, and `load_table` at 7.2 MB; as one
-# string the JSON peaked at 14.5 MB, and decoding the input whole at 12 MB.
+# its 5.4 MB of JSON peaks at 0.24 MB, and `load_table` at 4.8 MB; as one
+# string the JSON peaked at 14.5 MB, decoding the input whole at 12 MB, and
+# with a set of the ids the ingest peaked at 7.0 MB.
 UNIFORM = (1 << 16, 3, 12)
 RENDER_PEAK_BOUND_MB = 1
-LOAD_PEAK_BOUND_MB = 9
+LOAD_PEAK_BOUND_MB = 6
 
 
 class _Discard:
@@ -234,36 +239,88 @@ def test_load_table_decodes_no_whole_file_copy():
     assert peak < LOAD_PEAK_BOUND_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _read_by(read, data: bytes, config: TableConfig):
+    """The Table that `read` makes of `data`, or the type and text of its error."""
+    try:
+        return read("t.csv", config, data)
+    except (DataError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
 def _loaded(data: bytes, piece: int):
     """`load_table` of `data` decoded in pieces of at least `piece` bytes:
     the Table, or the type and text of the error."""
     saved, table_module.DECODE_PIECE = table_module.DECODE_PIECE, piece
     try:
-        return load_table("t.csv", TableConfig(), data)
-    except (DataError, UnicodeDecodeError) as exc:
-        return type(exc), str(exc)
+        return _read_by(load_table, data, TableConfig())
     finally:
         table_module.DECODE_PIECE = saved
 
 
-CELLS = st.sampled_from(["p", "q", "p\r\nq", "p\rq", "p\nq", "\r", "\n", "é", "✓",
-                         "\U0001f600", "\x1c", "\x85", "\u2028", '"', ",", " p "])
+# Cells with line breaks, non-ASCII and outer spaces, and short cells of
+# "p", NUL and the unit separator, which a join of several cells into one
+# key must not confuse: ("p\0", "") and ("p", "\0") join at a NUL to the
+# same string, as ("p\x1fp", "p") and ("p", "p\x1fp") do at a \x1f (which
+# str.strip takes for a space, so only a separator inside a cell counts).
+CELLS = st.one_of(
+    st.sampled_from(["p", "q", "p\r\nq", "p\rq", "p\nq", "\r", "\n", "é", "✓", "\U0001f600",
+                     "\x1c", "\x85", "\u2028", '"', ",", " p ", "p ", ""]),
+    st.text(alphabet="p\0\x1f", max_size=3),
+)
+# mostly good ids and tokens, so that most tables have rows enough to
+# share blocks
+IDS = st.sampled_from(["o{}", "o{}", "o{}", " o{} ", "o0", ""])
+TOKENS = st.sampled_from(["1", "0", "?", "1", "0", "?", " 1 ", "maybe"])
+FAULTS = ("ragged", "empty", "duplicate", "unmapped", "wide")
+WIDE_CELL = "x" * (csv.field_size_limit() + 1)
+
+
+def _fault(row: list[str], fault: str) -> None:
+    """Make the data row faulty: a cell too many, an empty or repeated id,
+    an unmapped token, or a cell over the csv module's field size limit."""
+    if fault == "ragged":
+        row.append("p")
+    elif fault == "empty":
+        row[0] = ""
+    elif fault == "duplicate":
+        row[0] = "o0"
+    elif fault == "unmapped":
+        row[-1] = "maybe"
+    else:
+        row[1] = WIDE_CELL
 
 
 @st.composite
 def raw_tables(draw) -> bytes:
-    """A table with quoted cells holding line breaks, any of the three line
-    ends, maybe a BOM, and maybe a duplicate id, a ragged row or an
-    unmapped token."""
-    rows = [["id", "a", "d"]]
+    """A table of 1-3 attributes with quoted cells holding line breaks,
+    spaces, NULs or separators, any of the three line ends, maybe a BOM,
+    maybe a bad UTF-8 byte, and maybe a duplicate id, a ragged row or an
+    unmapped token.  Sometimes two rows' cells join to one string, and
+    sometimes two faults are placed in one file."""
+    arity = draw(st.integers(1, 3))
+    rows = [["id", *"abc"[:arity], "d"]]
     for i in range(draw(st.integers(0, 8))):
-        rows.append([draw(st.sampled_from(["o{}", "o0", ""])).format(i), draw(CELLS),
-                     draw(st.sampled_from(["1", "0", "?", "maybe"]))])
-        if draw(st.integers(0, 9)) == 0:
+        rows.append([draw(IDS).format(i), *(draw(CELLS) for _ in range(arity)),
+                     draw(TOKENS)])
+        if draw(st.integers(0, 19)) == 0:
             rows[-1].pop()
+    if arity > 1 and draw(st.booleans()):
+        # two rows whose cells join at the separator to one string
+        a, x, b = (draw(st.sampled_from(["p", "q", ""])) for _ in range(3))
+        sep = draw(st.sampled_from(["\0", "\x1f"]))
+        rest = [draw(CELLS) for _ in range(arity - 2)]
+        for k, cells in enumerate([[a + sep + x, b], [a, x + sep + b]]):
+            rows.insert(draw(st.integers(1, len(rows))), [f"t{k}", *cells, *rest, draw(TOKENS)])
+    if len(rows) > 2 and draw(st.integers(0, 3)) == 0:
+        for _ in range(2):
+            _fault(rows[draw(st.integers(2, len(rows) - 1))], draw(st.sampled_from(FAULTS)))
     out = io.StringIO()
     csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows(rows)
-    return (draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()).encode("utf-8")
+    data = (draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()).encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
 
 
 @settings(max_examples=300, deadline=None)
@@ -302,3 +359,21 @@ def test_unicode_line_separators_stay_inside_a_cell(piece):
 @given(st.text(alphabet="/.a", max_size=8))
 def test_read_bytes_opens_the_path_pathlib_opens(path):
     assert table_module._pathlib_str(path) == str(PurePosixPath(path))
+
+
+CONFIGS = st.tuples(
+    st.sampled_from([None, ("a",), (" a",), ("a", "b"), ("d",), ("id",), ("nope",)]),
+    st.sampled_from([None, "d", "a", "id", "nope"]),
+).map(lambda fields: TableConfig(*fields))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=raw_tables(), config=st.one_of(st.just(TableConfig()), CONFIGS))
+# a repeated id, then a cell over the field size limit two rows on
+@example(data=f"id,a,d\no1,p,1\no1,q,0\no2,p,1\no3,{WIDE_CELL},1\n".encode(),
+         config=TableConfig())
+# keys that a plain join at NUL or at \x1f would confuse
+@example(data="id,a,b,d\no1,p\0,,1\no2,p,\0,0\no3,p\x1fp,p,1\no4,p,p\x1fp,0\n".encode(),
+         config=TableConfig())
+def test_load_table_matches_the_reference_reader(data, config):
+    assert _read_by(load_table, data, config) == _read_by(oracle_table, data, config)
