@@ -155,6 +155,8 @@ class AxiomReport(NamedTuple):
     # Its `objects` name a witness's objects: the partition checked, or kb's
     # universe under the brute engine.
     universe: Partition | Universe
+    # An exact hold's (base, exponent): it covers base^exponent tuples.
+    covers: tuple[int, int] | None = None
 
     def witness_names(self) -> list[dict[str, list[str]]] | None:
         if self.witness is None:
@@ -170,6 +172,8 @@ class AxiomReport(NamedTuple):
             "cases_checked": self.cases_checked,
             "exhaustive": self.exhaustive,
         }
+        if self.covers is not None:
+            out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
         witness = self.witness_names()
         if witness is not None:
             out["witness"] = witness
@@ -270,10 +274,10 @@ def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
     """Check the operators pbzlogic builds, standard or a named mutation, on
     a partition whose first largest block holds the objects at `members`.
 
-    An exact verdict reports as cases the tuples it covers, as the brute
-    engine does.  The verdict is the one the first `budget` reduced cases
-    give: the cached run evaluates them in the same order and stops at the
-    first failure.
+    Every verdict counts the reduced cases it evaluated, and a hold covers
+    the states^(|U| * arity) tuples of orthopairs.  The verdict is the one
+    the first `budget` reduced cases give: the cached run evaluates them in
+    the same order and stops at the first failure.
     """
     states = _state_count(mutation)
     cap = 1 if axiom.pointwise else min(len(members), states**axiom.arity)
@@ -286,8 +290,8 @@ def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
             axiom.ident, "counterexample", checked, False,
             _lift(size, members, failure, axiom.arity), partition,
         )
-    total = states ** (size * axiom.arity)
-    return AxiomReport(axiom.ident, "holds", total, True, None, partition)
+    return AxiomReport(axiom.ident, "holds", checked, True, None, partition,
+                       (states, size * axiom.arity))
 
 
 def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,

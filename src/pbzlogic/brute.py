@@ -71,8 +71,10 @@ def _check_brute(kb: KnowledgeBase, axiom: Axiom, budget: int, ops: LatticeOps,
 
     size, arity = kb.universe.size, axiom.arity
     elems = None if elements is None else list(elements)
-    total = 3 ** (size * arity) if elems is None else len(elems) ** arity
-    exact = total <= budget
+    base, exponent = (3, size * arity) if elems is None else (len(elems), arity)
+    # base^exponent <= budget: from base 2 up, an exponent past the budget's
+    # bit length exceeds it
+    exact = base ** min(exponent, budget.bit_length()) <= budget
     if exact:
         tuples: Iterable[tuple[Pair, ...]] = itertools.product(
             all_orthopair_masks(size) if elems is None else elems, repeat=arity)
@@ -90,8 +92,8 @@ def _check_brute(kb: KnowledgeBase, axiom: Axiom, budget: int, ops: LatticeOps,
         checked += 1
         if not axiom.predicate(ops, *tup):
             return AxiomReport(axiom.ident, "counterexample", checked, False, tup, kb.universe)
-    return AxiomReport(axiom.ident, "holds" if exact else "undecided", checked, exact, None,
-                       kb.universe)
+    status, covers = ("holds", (base, exponent)) if exact else ("undecided", None)
+    return AxiomReport(axiom.ident, status, checked, exact, None, kb.universe, covers)
 
 
 def check_all(

@@ -128,6 +128,7 @@ class LogicValidation(NamedTuple):
     overlap: tuple[str, str, int] | None = None
     uncovered: int | None = None
     universe: Partition | Universe | None = None
+    covers: tuple[int, int] | None = None  # a valid verdict's: base^exponent concepts
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -136,6 +137,8 @@ class LogicValidation(NamedTuple):
             "checked": self.checked,
             "exhaustive": self.exhaustive,
         }
+        if self.covers is not None:
+            out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
 
         def names(mask: int) -> list[str]:
             return members_of(mask, self.universe.objects)
@@ -237,11 +240,11 @@ def validate_blocks(
     `labels_of` is `spec.value_table()`, computed once by the caller.
     Exact, by the rule in the module docstring: each base value the largest
     block can take is a case, and the logic is valid iff each case has
-    exactly one label.  A valid logic reports the 3^|U| concepts the
-    verdict covers; an invalid one the cases evaluated, up to the first
-    failure, with its witness concept.  The budget truncates the case
-    order: with more cases than the budget and no failure among the first
-    `budget`, the verdict is undecided.  A budget below 1 is a ValueError.
+    exactly one label.  A verdict counts the cases evaluated: a valid one
+    all, covering the 3^|U| concepts; an invalid one up to the failure,
+    with its witness concept.  The budget truncates the case order: with
+    more cases than the budget and no failure among the first `budget`,
+    the verdict is undecided.  A budget below 1 is a ValueError.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"the budget must be at least 1, got {budget}")
@@ -252,7 +255,8 @@ def validate_blocks(
             return _invalid(spec, labels_of, partition, value, checked)
     if budget is not None and len(cases) > budget:
         return LogicValidation(spec.name, "undecided", budget, False)
-    return LogicValidation(spec.name, "valid", 3 ** len(partition.objects), True)
+    return LogicValidation(spec.name, "valid", len(cases), True,
+                           covers=(3, len(partition.objects)))
 
 
 def validate_logic(
@@ -276,7 +280,7 @@ def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
             return LogicValidation(spec.name, "invalid", checked, True,
                                    (p.positive.bits, p.negative.bits),
                                    universe=kb.universe, **failure)
-    return LogicValidation(spec.name, "valid", checked, True)
+    return LogicValidation(spec.name, "valid", checked, True, covers=(3, kb.universe.size))
 
 
 _BELNAP_FROM_ARGUMENTS = {

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
     from .values import TruthValue
 
-# The version of the JSON reports that the CLI writes for its tables.
+# The version of the `classify` JSON report (`verdicts` has that of the others).
 SCHEMA_VERSION = 1
 
 DEFAULT_POSITIVE = ("1", "yes", "true", "positive")

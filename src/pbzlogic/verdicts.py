@@ -9,12 +9,9 @@ write.  Only those two commands load this module.
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from _json import encode_basestring_ascii
-
-from .table import SCHEMA_VERSION
 
 if TYPE_CHECKING:
     from .axioms import AxiomReport
@@ -22,31 +19,18 @@ if TYPE_CHECKING:
 
     Run = tuple[str, bool, list[AxiomReport]]  # label, certified, one report per axiom
 
+# Version 2 counts cases evaluated and states coverage as `covers` (README).
+SCHEMA_VERSION = 2
+
 
 def write_runs(runs: Iterator[Run], fmt: str, out: TextIO) -> None:
     """The `verify` report of each run, in the format `fmt`."""
-    _exact_counts(_write_runs_json if fmt == "json" else _write_runs_text, runs, out)
+    (_write_runs_json if fmt == "json" else _write_runs_text)(runs, out)
 
 
 def write_results(results: Iterator[LogicValidation], fmt: str, out: TextIO) -> None:
     """The `validate-logic` report of each result, in the format `fmt`."""
-    _exact_counts(_write_results_json if fmt == "json" else _write_results_text, results, out)
-
-
-def _exact_counts(write: Callable[[Iterator, TextIO], None], items: Iterator,
-                  out: TextIO) -> None:
-    """`write(items, out)` for reports whose counts may exceed Python's
-    default 4,300-digit limit on int-to-str conversion: an exact verdict
-    covers 3^|U| concepts of a logic, or 3^(|U| * arity) tuples of an
-    axiom."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
-        return write(items, out)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        write(items, out)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    (_write_results_json if fmt == "json" else _write_results_text)(results, out)
 
 
 def _write_json_list(key: str, entries: Iterator[str], out: TextIO) -> None:
@@ -78,7 +62,7 @@ def _write_runs_text(runs: Iterator[Run], out: TextIO) -> None:
 
 
 def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
-    """The `verify` report, `{"runs": [...], "schema_version": 1}`: each run
+    """The `verify` report, `{"runs": [...], "schema_version": 2}`: each run
     is written when it is checked.  A sweep repeats the same few entries
     without a witness in every run, so each of those is rendered once."""
     from .jsontext import dumps  # here and below, so that text output never loads it
@@ -89,7 +73,7 @@ def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
     def axiom(r: AxiomReport) -> str:
         if r.witness is not None:
             return "        " + dumps(r.to_dict(), "        ")
-        key = r[:4]  # axiom, status, cases_checked, exhaustive
+        key = (*r[:4], r.covers)  # covers tells the holds of each |U| apart
         entry = rendered.get(key)
         if entry is None:
             entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
@@ -104,7 +88,7 @@ def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
 
 
 def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None:
-    """The `validate-logic` report, `{"results": [...], "schema_version": 1}`,
+    """The `validate-logic` report, `{"results": [...], "schema_version": 2}`,
     each result written when it is decided."""
     from .jsontext import dumps
 
@@ -114,15 +98,14 @@ def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None
 
 
 def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:
-    """One verdict line per knowledge base, then the failure and witness of
-    an invalid one.  A valid verdict counts the concepts it covers, any
-    other the cases evaluated."""
+    """One verdict line per knowledge base, with the cases evaluated and
+    the concepts a valid verdict covers, then the failure and witness of
+    an invalid one."""
     for result in results:
         rep = result.to_dict()
-        unit = "concepts" if rep["status"] == "valid" else "cases"
+        covers = "" if result.covers is None else ", covers %d^%d concepts" % result.covers
         lines = [
-            f"{rep['logic']}: {rep['status']}"
-            f" (checked {rep['checked']} {unit}"
+            f"{rep['logic']}: {rep['status']} (checked {rep['checked']} cases{covers}"
             f"{', exhaustive' if rep['exhaustive'] else ''})"
         ]
         if "overlap" in rep:

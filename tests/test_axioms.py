@@ -126,7 +126,8 @@ def test_k1_holds_with_full_case_count(size):
         report = check_axiom(kb, "K1")
         assert report.status == "holds"
         assert report.exhaustive
-        assert report.cases_checked == 3**size
+        # the three one-object types evaluated; the 3^size orthopairs covered
+        assert (report.cases_checked, report.covers) == (3, (3, size))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -144,7 +145,7 @@ def test_one_size_four_partition_certifies():
     reports = check_all(kb)
     assert certified(reports)
     distrib = next(r for r in reports if r.axiom == "distributivity")
-    assert distrib.cases_checked == 81**3
+    assert (distrib.cases_checked, distrib.covers) == (27, (3, 4 * 3))  # 81^3 triples
 
 
 def test_all_size_five_partitions_certify():
@@ -170,7 +171,7 @@ def test_six_object_kb_certifies(six_kb):
     reports = check_all(six_kb)
     assert certified(reports)
     distrib = next(r for r in reports if r.axiom == "distributivity")
-    assert distrib.cases_checked == (3**6) ** 3
+    assert (distrib.cases_checked, distrib.covers) == (27, (3, 6 * 3))
 
 
 def test_budget_forces_undecided(kb3):
@@ -281,7 +282,10 @@ def test_reduced_engine_matches_brute_engine(size, mutation):
                 kb.blocks, mutation, fast.axiom
             )
             if fast.status == "holds":
-                assert fast.cases_checked == slow.cases_checked
+                # the reduced verdict covers the tuples that the brute one enumerated
+                (base, exponent), (b, e) = fast.covers, slow.covers
+                assert base**exponent == slow.cases_checked == b**e
+                assert fast.cases_checked <= slow.cases_checked
             elif fast.status == "counterexample":
                 assert not AXIOMS[fast.axiom].predicate(ops, *fast.witness)
 
@@ -293,7 +297,7 @@ def test_reduced_engine_decides_overlapping_distributivity():
     reduced = next(r for r in run_mutation(kb, "drop-disjointness")
                    if r.axiom == "distributivity")
     assert (reduced.status, reduced.exhaustive) == ("holds", True)
-    assert reduced.cases_checked == (4**4) ** 3
+    assert (reduced.cases_checked, reduced.covers) == (4**3, (4, 4 * 3))  # 256^3 triples
     elements = list(_all_pairs_including_overlapping(4))
     brute = check_axiom(kb, "distributivity", budget=10_000,
                         ops=mutated_ops(kb, "drop-disjointness"), elements=elements)
@@ -338,7 +342,7 @@ def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
     arity = AXIOMS[axiom_id].arity
     exact = check_axiom(kb, axiom_id, budget=reduced_cases)
     assert (exact.status, exact.exhaustive) == ("holds", True)
-    assert exact.cases_checked == (3**10) ** arity
+    assert (exact.cases_checked, exact.covers) == (reduced_cases, (3, 10 * arity))
     truncated = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
     assert (truncated.status, truncated.exhaustive) == ("undecided", False)
     assert truncated.cases_checked == reduced_cases - 1
@@ -376,7 +380,8 @@ def test_sixteen_objects_certify_without_enumeration(monkeypatch):
     kb = _skewed_kb(16, blocks=7)
     reports = check_all(kb)
     assert certified(reports)
-    assert next(r for r in reports if r.axiom == "A2").cases_checked == 3**32
+    a2 = next(r for r in reports if r.axiom == "A2")
+    assert (a2.cases_checked, a2.covers) == (2**9 - 1, (3, 16 * 2))  # a block of 10
     # over budget the reduced engine is cut short, with no fallback
     truncated = {r.axiom: r for r in check_all(kb, budget=10)}
     distrib = truncated["distributivity"]

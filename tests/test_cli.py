@@ -1,15 +1,21 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pbzlogic
 from pbzlogic import (
@@ -250,6 +256,21 @@ def test_a_cell_over_the_csv_field_limit_is_a_data_error(capsys, tmp_path, argv)
     assert csv.field_size_limit() == limit
 
 
+def test_a_nul_in_a_cell_follows_the_csv_module(capsys, tmp_path):
+    # Python 3.10's csv module rejects a line holding a NUL; from 3.11 on it
+    # is a character like any other, so "p\0" and "p" are two blocks
+    path = tmp_path / "nul.csv"
+    path.write_text("id,a,d\no1,p\0,yes\no2,p,no\n")
+    code, out, err = run(capsys, "classify", "--input", str(path), "--format", "json")
+    if sys.version_info < (3, 11):
+        assert (code, out, err) == (1, "", f"error: {path}:2: line contains NUL\n")
+    else:
+        assert (code, err) == (0, "")
+        # one block would give both objects K
+        objects = json.loads(out)["objects"]
+        assert {o["id"]: o["seven"] for o in objects} == {"o1": "T", "o2": "F"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("logic", ["seven", "treatment", "triage", "diagnosis", "belnap"])
 def test_classify_matches_golden_bytes(capsys, demo_csv, logic, fmt):
@@ -464,15 +485,16 @@ def test_verify_table_too_large_for_the_budget(capsys, tmp_path):
 
 
 def test_verify_json_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
-    # distributivity covers 3^(3 * 3,100) tuples: 4,438 digits, past the
-    # 4,300 that str() and json accept by default
+    # distributivity covers 3^(3 * 3,100) tuples, a number of 4,438 digits,
+    # past the 4,300 that str() and json accept by default; the report states
+    # it as a base and an exponent, so it loads with a plain json.loads
     path = _table(tmp_path, 3100, 3100)
     code, out, _ = run(capsys, "verify", "--input", str(path), "--format", "json")
     assert code == 0
-    assert '"certified": true' in out
-    count = max(re.findall(r'"cases_checked": (\d+)', out), key=len)
-    assert len(count) == 4438
-    assert int(count[-12:]) == pow(3, 3 * 3100, 10**12)
+    [run_] = json.loads(out)["runs"]
+    assert run_["certified"] is True
+    [distributivity] = [a for a in run_["axioms"] if a["axiom"] == "distributivity"]
+    assert distributivity["covers"] == {"base": 3, "exponent": 3 * 3100}
 
 
 def test_verify_size_seven_certifies(capsys):
@@ -503,14 +525,38 @@ def test_synthetic_sizes_are_bounded(capsys, argv, limit):
 def test_validate_logic_size_eight(capsys):
     code, out, _ = run(capsys, "validate-logic", "--logic", "belnap", "--size", "8")
     assert code == 0
-    line = "belnap: valid (checked 6561 concepts, exhaustive)\n"
-    assert out == line * 4140  # Bell(8) knowledge bases
+    # of the Bell(8) = 4,140 knowledge bases, 764 have no block over 2
+    # objects (the involutions of 8 items), one of them only singletons
+    assert Counter(out.splitlines()) == {
+        f"belnap: valid (checked {cases} cases, covers 3^8 concepts, exhaustive)": count
+        for cases, count in ((3, 1), (6, 763), (7, 4140 - 764))
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 5000), groups=st.integers(1, 5000))
+@example(rows=9100, groups=3)  # 3^9,100 has 4,342 digits, past the default 4,300
+def test_verdicts_load_under_the_int_digit_limit(rows, groups):
+    """An exact verdict states what it covers as a base and an exponent, so
+    the JSON of a table of any size loads with a plain `json.loads`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _table(Path(tmp), rows, groups)
+        verified = _json_stdout(["verify", "--input", str(path), "--format", "json"])
+        validated = _json_stdout(["validate-logic", "--logic", "triage", "--input", str(path),
+                                  "--format", "json"])
+    [run_] = verified["runs"]
+    assert run_["certified"] is True
+    for report in run_["axioms"]:
+        arity = pbzlogic.AXIOMS[report["axiom"]].arity
+        assert report["covers"] == {"base": 3, "exponent": rows * arity}
+    [result] = validated["results"]
+    assert (result["status"], result["covers"]) == ("valid", {"base": 3, "exponent": rows})
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_validate_logic_prints_counts_past_the_int_digit_limit(capsys, tmp_path, fmt):
-    # a valid verdict covers 3^9,100 concepts: 4,342 digits, past the 4,300
-    # that str() and json accept by default
+    # a valid verdict covers 3^9,100 concepts, a number of 4,342 digits, past
+    # the 4,300 that str() and json accept by default; it prints as 3^9100
     path = _table(tmp_path, 9100, 3)
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "validate-logic", "--logic", "triage",
@@ -518,12 +564,33 @@ def test_validate_logic_prints_counts_past_the_int_digit_limit(capsys, tmp_path,
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
     if fmt == "text":
-        count = re.fullmatch(r"triage: valid \(checked (\d+) concepts, exhaustive\)\n", out)[1]
+        assert re.fullmatch(
+            r"triage: valid \(checked \d+ cases, covers 3\^9100 concepts, exhaustive\)\n", out
+        )
     else:
-        count = re.search(r'"checked": (\d+)', out)[1]
-        assert '"status": "valid"' in out
-    assert len(count) == 4342
-    assert int(count[-12:]) == pow(3, 9100, 10**12)
+        [result] = json.loads(out)["results"]
+        assert (result["status"], result["covers"]) == ("valid", {"base": 3, "exponent": 9100})
+
+
+def _json_stdout(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def test_a_sweep_reports_the_coverage_of_each_size(capsys):
+    # runs of sizes 2 and 3 share their witness-free entries but not their
+    # coverage, so the JSON writer keys its rendered entries by it too
+    code, out, _ = run(capsys, "verify", "--sizes", "2,3", "--format", "json")
+    assert code == 0
+    runs = json.loads(out)["runs"]
+    assert len(runs) == 2 + 5
+    for run_ in runs:
+        size = int(run_["kb"].split()[1])
+        [distributivity] = [a for a in run_["axioms"] if a["axiom"] == "distributivity"]
+        assert distributivity["cases_checked"] == 27
+        assert distributivity["covers"] == {"base": 3, "exponent": 3 * size}
 
 
 def test_verify_mutation_fails(capsys):
@@ -858,7 +925,7 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
         assert code == 0
         assert not loaded & PARSER_MODULES
         if fmt == "text":
-            assert out == "triage: valid (checked 729 concepts, exhaustive)\n"
+            assert out == "triage: valid (checked 6 cases, covers 3^6 concepts, exhaustive)\n"
         else:
             assert json.loads(out)["results"][0]["status"] == "valid"
         # a valid verdict needs the block sizes only, and the concept
@@ -1031,7 +1098,8 @@ def test_verify_tiny_budget_is_not_certified(capsys):
 def test_validate_logic_builtin(capsys):
     code, out, _ = run(capsys, "validate-logic", "--logic", "belnap", "--size", "3")
     assert code == 0
-    assert "belnap: valid (checked 27 concepts, exhaustive)" in out
+    # the first knowledge base is one block of 3 objects, which takes all 7 values
+    assert out.startswith("belnap: valid (checked 7 cases, covers 3^3 concepts, exhaustive)\n")
 
 
 def test_validate_logic_table_input(capsys, small_csv):

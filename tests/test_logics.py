@@ -137,7 +137,10 @@ def test_builtins_are_valid(name, size):
         result = validate_logic(kb, builtin_logic(name))
         assert result.status == "valid"
         assert result.exhaustive
-        assert result.checked == 3**size
+        # every value the largest block can take evaluated; 3^size concepts covered
+        largest = max(len(block) for block in kb.blocks)
+        assert result.checked == {1: 3, 2: 6}.get(largest, 7)
+        assert result.covers == (3, size)
 
 
 def _concept(kb, witness):
@@ -222,7 +225,7 @@ NO_K = LogicSpec("no-K", (
 
 def test_budget_truncates_the_case_order(six_kb):
     assert validate_logic(six_kb, NO_K, budget=4) == (
-        "no-K", "undecided", 4, False, None, None, None, None
+        "no-K", "undecided", 4, False, None, None, None, None, None
     )
     for budget in (5, 6, None):
         result = validate_logic(six_kb, NO_K, budget=budget)
@@ -374,8 +377,13 @@ def test_rule_agrees_with_enumeration(size, specs):
             oracle = _validate_brute(kb, spec)
             assert (result.status, result.exhaustive) == (oracle.status, True)
             statuses.add(result.status)
+            sizes = [len(block) for block in kb.blocks]
+            cases = [v for v in _CASE_ORDER if v.flag.bit_count() <= max(sizes)]
             if result.status == "valid":
-                assert result.checked == oracle.checked == 3**size
+                # the rule's cases cover the concepts that the oracle enumerated
+                base, exponent = result.covers
+                assert base**exponent == oracle.checked == 3**size
+                assert (result.checked, oracle.covers) == (len(cases), result.covers)
                 continue
             assert 1 <= result.checked <= 7
             # the witness fails: some objects have two labels, or none
@@ -394,8 +402,6 @@ def test_rule_agrees_with_enumeration(size, specs):
             failure = {key: getattr(result, key) for key in ("overlap", "uncovered")
                        if getattr(result, key) is not None}
             assert failure == _partition_failure(kb, spec, witness)
-            sizes = [len(block) for block in kb.blocks]
-            cases = [v for v in _CASE_ORDER if v.flag.bit_count() <= max(sizes)]
             value = cases[result.checked - 1]
             assert block_values(kb, witness)[_witness_block(sizes, value)] is value
     assert statuses == {"valid", "invalid"}

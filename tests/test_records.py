@@ -85,12 +85,12 @@ RECORDS = {
     }),
     "AxiomReport": (AxiomReport, {
         "axiom": "K1", "status": "counterexample", "cases_checked": 3,
-        "exhaustive": False, "witness": ((1, 2),), "universe": U,
+        "exhaustive": False, "witness": ((1, 2),), "universe": U, "covers": None,
     }),
     "LogicValidation": (LogicValidation, {
         "logic": "triage", "status": "invalid", "checked": 5, "exhaustive": True,
         "witness": (AB.bits, C.bits), "overlap": ("a", "b", AB.bits), "uncovered": C.bits,
-        "universe": U,
+        "universe": U, "covers": None,
     }),
 }
 SLOTTED = [
@@ -124,7 +124,7 @@ def test_defaults_are_unchanged():
     assert ValueDef("t", ("T",)).down == ()
     assert ValueDef("f", down=("F",)).up == ()
     short = LogicValidation("triage", "valid", 27, True)
-    assert (short.witness, short.overlap, short.uncovered) == (None, None, None)
+    assert (short.witness, short.overlap, short.uncovered, short.covers) == (None,) * 4
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -189,7 +189,7 @@ def test_reprs_are_unchanged():
     )
     assert repr(LogicValidation("triage", "valid", 27, True)) == (
         "LogicValidation(logic='triage', status='valid', checked=27, exhaustive=True,"
-        " witness=None, overlap=None, uncovered=None, universe=None)"
+        " witness=None, overlap=None, uncovered=None, universe=None, covers=None)"
     )
     assert repr(TableConfig(decision_column="d")).startswith(
         "TableConfig(attributes=None, decision_column='d', positive_tokens=("
