@@ -154,7 +154,7 @@ def _resolve_logic(name_or_path: str) -> LogicSpec | None:
         )
     try:
         return LogicSpec.from_json(path.read_text(encoding="utf-8"))
-    except (KeyError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    except (KeyError, ValueError, RecursionError) as exc:  # RecursionError: JSON too deep
         raise DataError(f"{path}: bad logic spec: {exc}") from exc
 
 

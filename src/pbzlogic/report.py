@@ -33,10 +33,11 @@ def build_classification_report(
 
     Each block's value comes from its flag, and a logic is its seven-entry
     `value_table`; the bare seven values are the identity table.  An
-    object takes its block's value and label, so the counts are block
-    sizes and `objects` is an `ObjectRows` over the table's arrays.  A
-    logic that gives a value other than one label is a ValueError naming
-    the first object in row order that has no single label.
+    object takes its block's value and label, so a value and a label are
+    chosen once per flag, the counts are sums of block sizes, and
+    `objects` is an `ObjectRows` over the table's arrays.  A logic that
+    gives no label or several to a value that occurs is a ValueError
+    naming the first object in row order that has no single label.
     """
     if spec is None:
         labels_of = {v: (v.symbol,) for v in TruthValue}
@@ -44,31 +45,32 @@ def build_classification_report(
     else:
         labels_of = spec.value_table()
         derived_order = list(spec.labels())
-    # A flag's label is checked on its first block, in block order, which
-    # is the order of the blocks' first rows.  Dicts here are keyed by the
-    # int flags: a TruthValue hashes in Python code.
-    label_of: dict[int, str] = {}
+    # Lists here are indexed by the 3-bit flag; 0 is the flag of no block.
+    # Dicts are keyed by the int flags: a TruthValue hashes in Python code.
     rows_of = [0] * 8
-    for first, flag, size in zip(table.firsts, table.flags, table.block_sizes):
-        if flag not in label_of:
-            labels = labels_of[BY_FLAG[flag]]
-            label_of[flag] = single_label(table.objects[first], labels)
+    for flag, size in zip(table.flags, table.block_sizes):
         rows_of[flag] += size
-    symbol_of = {flag: BY_FLAG[flag].symbol for flag in label_of}
+    value_of = {flag: BY_FLAG[flag] for flag, rows in enumerate(rows_of) if rows}
+    bad = [flag for flag, value in value_of.items() if len(labels_of[value]) != 1]
+    if bad:  # blocks are numbered in order of their first rows
+        block = min(map(table.flags.index, bad))
+        single_label(table.objects[table.block_ids.index(block)],
+                     labels_of[value_of[table.flags[block]]])
 
+    seven, derived = [""] * 8, [""] * 8  # "" for a flag that no block has
     seven_counts = dict.fromkeys((v.symbol for v in TruthValue), 0)
     derived_counts = dict.fromkeys(derived_order, 0)
-    for flag, label in label_of.items():
-        seven_counts[symbol_of[flag]] += rows_of[flag]
+    for flag, value in value_of.items():
+        (label,) = labels_of[value]
+        seven[flag], derived[flag] = value.symbol, label
+        seven_counts[value.symbol] += rows_of[flag]
         derived_counts[label] += rows_of[flag]
-    seven_of = [symbol_of[flag] for flag in table.flags]
-    derived_of = [label_of[flag] for flag in table.flags]
 
     return {
         "schema_version": SCHEMA_VERSION,
         "logic": spec.name if spec is not None else "seven",
         "provenance": {"input_sha256": input_sha256, "config": config_echo},
-        "objects": ObjectRows(table.objects, table.block_ids, seven_of, derived_of),
+        "objects": ObjectRows(table.objects, table.block_ids, table.flags, seven, derived),
         "summary": {"seven": seven_counts, "derived": derived_counts},
     }
 
@@ -77,24 +79,28 @@ class ObjectRows(list):
     """The `objects` of a classification report, read from the table.
 
     Entry i is `{"derived": ..., "id": ..., "seven": ...}` for the object
-    `ids[i]` of block `block_ids[i]`, made when read, so that a report
-    holds no dict per object; the renderers read the arrays themselves.
+    `ids[i]` of block `block_ids[i]`, whose value and label are those of
+    the block's flag, `flags[block_ids[i]]`.  An entry is made when read,
+    so that a report holds no dict per object; the renderers read the
+    arrays themselves.
     It is a list subclass only so that `json.dumps` encodes it (both of
     its encoders iterate a list subclass): the list's own storage stays
     empty, so this is a read-only sequence, and list methods not defined
     here see an empty list.
     """
 
-    def __init__(self, ids: list[str], block_ids: array,
+    def __init__(self, ids: list[str], block_ids: array, flags: bytearray,
                  seven: list[str], derived: list[str]) -> None:
         super().__init__()
         self.ids = ids
         self.block_ids = block_ids
-        self.seven = seven  # per block
-        self.derived = derived  # per block
+        self.flags = flags  # per block
+        self.seven = seven  # per flag
+        self.derived = derived  # per flag
 
     def _entry(self, oid: str, block: int) -> dict:
-        return {"id": oid, "seven": self.seven[block], "derived": self.derived[block]}
+        flag = self.flags[block]
+        return {"id": oid, "seven": self.seven[flag], "derived": self.derived[flag]}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -120,27 +126,21 @@ class ObjectRows(list):
         """Write the entries as `json.dumps(report, indent=2, sort_keys=True)`
         lists them, with no brackets and no line break after the last.
 
-        Each distinct (derived, seven) pair is encoded once, and each object
-        adds only its escaped id (the C `encode_basestring_ascii`, which
-        `json.dumps` uses too) between its block's two fragments, written
-        `RENDER_CHUNK` objects at a time.
+        The two fragments around an id are encoded once per flag, and each
+        object adds only its escaped id (the C `encode_basestring_ascii`,
+        which `json.dumps` uses too) between those of its block's flag,
+        written `RENDER_CHUNK` objects at a time.
         """
         escape = encode_basestring_ascii
-        pairs = list(zip(self.derived, self.seven))  # per block
-        fragments = {
-            (derived, seven): (
-                f'    {{\n      "derived": {escape(derived)},\n      "id": ',
-                f',\n      "seven": {escape(seven)}\n    }}',
-            )
-            for derived, seven in set(pairs)
-        }
-        before, after = zip(*map(fragments.get, pairs))
-        ids, block_ids = self.ids, self.block_ids
+        before = [f'    {{\n      "derived": {escape(label)},\n      "id": '
+                  for label in self.derived]
+        after = [f',\n      "seven": {escape(symbol)}\n    }}' for symbol in self.seven]
+        ids, block_ids, flag_of = self.ids, self.block_ids, self.flags.__getitem__
         for i in range(0, len(ids), RENDER_CHUNK):
             j = i + RENDER_CHUNK
             out.write((",\n" if i else "") + ",\n".join([
-                before[b] + oid + after[b]
-                for oid, b in zip(map(escape, ids[i:j]), block_ids[i:j])
+                before[f] + oid + after[f]
+                for oid, f in zip(map(escape, ids[i:j]), map(flag_of, block_ids[i:j]))
             ]))
 
 
@@ -148,14 +148,14 @@ def render_classification_text(report: dict, out: TextIO) -> None:
     """Write one line per object under a header, `RENDER_CHUNK` objects at
     a time, then the seven and derived counts."""
     rows = report["objects"]
-    ids, block_ids = rows.ids, rows.block_ids
+    ids, block_ids, flag_of = rows.ids, rows.block_ids, rows.flags.__getitem__
     width = max(6, max(map(len, ids))) + 2
     suffix = [f"{seven:<7}{derived}\n" for seven, derived in zip(rows.seven, rows.derived)]
     out.write(f"logic: {report['logic']}\n{'object':<{width}}{'seven':<7}derived\n")
     for i in range(0, len(ids), RENDER_CHUNK):
         j = i + RENDER_CHUNK
         out.write("".join([
-            oid.ljust(width) + suffix[b] for oid, b in zip(ids[i:j], block_ids[i:j])
+            oid.ljust(width) + suffix[f] for oid, f in zip(ids[i:j], map(flag_of, block_ids[i:j]))
         ]))
     for kind in ("seven", "derived"):
         counts = report["summary"][kind]

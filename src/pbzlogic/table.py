@@ -107,7 +107,6 @@ class Table(NamedTuple):
     block_ids: array  # array('I'): the block of each row
     block_sizes: list[int]  # rows per block
     flags: bytearray  # per block: the regions its rows' decisions meet
-    firsts: array  # array('I'): the first row of each block
 
     def block_values(self) -> list[TruthValue]:
         """The seven value of each block, in block order, from its flag."""
@@ -341,7 +340,6 @@ def _read_table(reader, objects: list[str], path: str | Path,
     block_ids = array("I")
     block_sizes: list[int] = []
     flags = bytearray()
-    firsts = array("I")
     # `block_of` maps the `_block_key` of each stripped vector to its block
     # and, as an alias, that of each vector as read (a cell read with outer
     # spaces never equals a stripped one); `flag_of_cell` maps each decision
@@ -370,8 +368,7 @@ def _read_table(reader, objects: list[str], path: str | Path,
             if b == len(flags):
                 flags.append(0)
                 block_sizes.append(0)
-                firsts.append(len(block_ids))
         flags[b] |= flag
         block_sizes[b] += 1
         block_ids.append(b)
-    return Table(objects, block_ids, block_sizes, flags, firsts)
+    return Table(objects, block_ids, block_sizes, flags)

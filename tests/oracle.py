@@ -120,11 +120,7 @@ def oracle_table(path: str, config: TableConfig, data: bytes) -> Table:
         read.append((block_of[vector], flag_of[token.lower()]))
     sizes = [0] * len(block_of)
     flags = bytearray(len(block_of))
-    firsts = [None] * len(block_of)
-    for i, (b, flag) in enumerate(read):
+    for b, flag in read:
         sizes[b] += 1
         flags[b] |= flag
-        if firsts[b] is None:
-            firsts[b] = i
-    return Table(objects, array("I", [b for b, _ in read]), sizes, flags,
-                 array("I", firsts))
+    return Table(objects, array("I", [b for b, _ in read]), sizes, flags)

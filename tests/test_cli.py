@@ -1166,6 +1166,23 @@ def test_malformed_spec_file_is_a_data_error(capsys, demo_csv, tmp_path, spec, c
     assert " must be " in err
 
 
+@pytest.mark.parametrize("command", ["classify", "validate-logic"])
+def test_a_deeply_nested_spec_file_is_a_data_error(demo_csv, tmp_path, command):
+    """A spec nested past the JSON decoder's recursion limit ends in one
+    error line, not in a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pbzlogic.cli", command, "--input", str(demo_csv),
+         "--logic", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"error: {path}: bad logic spec: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def test_list_logics(capsys):
     code, out, _ = run(capsys, "list-logics")
     assert code == 0

@@ -73,7 +73,7 @@ RECORDS = {
     }),
     "Table": (Table, {
         "objects": ["a", "b"], "block_ids": array("I", [0, 0]), "block_sizes": [2],
-        "flags": bytearray(b"\x03"), "firsts": array("I", [0]),
+        "flags": bytearray(b"\x03"),
     }),
     "LatticeOps": (LatticeOps, {
         "full": 1, "lower": lower, "meet": meet, "join": join,

@@ -7,7 +7,7 @@ import io
 import json
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbzlogic import LogicSpec, builtin_logic, builtin_logics, report as report_module
@@ -48,19 +48,29 @@ def written(render, report: dict, chunk: int = report_module.RENDER_CHUNK) -> st
 
 @st.composite
 def tables(draw) -> bytes:
-    """A decision table of 1-12 rows whose ids are drawn from TEXT."""
+    """A decision table of 1-12 rows whose ids are drawn from TEXT.  Its
+    attribute takes up to 12 values, so that a table may have a block per
+    row, or 12 rows whose blocks meet all seven nonempty sets of regions."""
     rows = [["id", "a", "d"]]
     for i in range(draw(st.integers(1, 12))):
         # the index keeps ids distinct and non-empty after strip()
         oid = draw(TEXT) + str(i)
-        rows.append([oid, draw(st.sampled_from("pq")), draw(st.sampled_from(["1", "0", "?"]))])
+        rows.append([oid, str(draw(st.integers(0, 11))),
+                     draw(st.sampled_from(["1", "0", "?"]))])
     out = io.StringIO()
     csv.writer(out).writerows(rows)
     return out.getvalue().encode("utf-8")
 
 
+# 12 rows in seven blocks, one for each nonempty set of regions.
+ALL_FLAGS = (b"id,a,d\r\no0,a,1\r\no1,b,0\r\no2,c,?\r\no3,d,1\r\no4,d,0\r\no5,e,1\r\n"
+             b"o6,e,?\r\no7,f,0\r\no8,f,?\r\no9,g,1\r\no10,g,0\r\no11,g,?\r\n")
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=tables(), logic=st.sampled_from(LOGICS), chunk=st.integers(1, 13))
+@example(data=ALL_FLAGS, logic=None, chunk=5)
+@example(data=ALL_FLAGS, logic=LOGICS[-1], chunk=3)
 def test_render_json_equals_json_dumps(data, logic, chunk):
     config = TableConfig()
     table = load_table("table.csv", config, data)
@@ -72,6 +82,8 @@ def test_render_json_equals_json_dumps(data, logic, chunk):
 
 @settings(max_examples=100, deadline=None)
 @given(data=tables(), logic=st.sampled_from(LOGICS), chunk=st.integers(1, 13))
+@example(data=ALL_FLAGS, logic=None, chunk=5)
+@example(data=ALL_FLAGS, logic=LOGICS[-1], chunk=3)
 def test_render_text_formats_each_entry(data, logic, chunk):
     config = TableConfig()
     report = build_classification_report(

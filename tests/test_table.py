@@ -33,6 +33,7 @@ from pbzlogic.cli import (
     render_json,
 )
 from pbzlogic.logics import BASE_SYMBOLS, single_label
+from pbzlogic.report import render_classification_text
 
 from .oracle import oracle_table
 
@@ -69,7 +70,6 @@ def _check_agreement(rows):
     assert tuple(table.block_ids) == kb.block_index
     assert table.block_sizes == [len(block) for block in kb.blocks]
     assert table.block_values() == block_values(kb, pair)
-    assert list(table.firsts) == [kb.block_index.index(b) for b in range(len(kb.blocks))]
     assert kb.partition() == (tuple(table.objects), tuple(table.block_ids), table.block_sizes)
     return table, kb, pair
 
@@ -113,7 +113,8 @@ def test_table_agrees_with_the_mask_engine_on_every_partition(size):
             table, seeded, _ = _check_agreement(rows)
             assert set(seeded.blocks) == set(kb.blocks)
             assert table.block_values() == [
-                block_values(kb, pair)[kb.block_index[first]] for first in table.firsts
+                block_values(kb, pair)[kb.block_index[table.block_ids.index(b)]]
+                for b in range(len(table.block_sizes))
             ]
 
 
@@ -201,10 +202,15 @@ def _uniform_csv(rows: int, attributes: int, values: int) -> bytes:
 
 
 # 65,536 rows in 12^3 = 1,728 blocks.  Measured with Python 3.11: rendering
-# its 5.4 MB of JSON peaks at 0.24 MB, and `load_table` at 4.8 MB; as one
-# string the JSON peaked at 14.5 MB, decoding the input whole at 12 MB, and
-# with a set of the ids the ingest peaked at 7.0 MB.
+# its 5.4 MB of JSON peaks at 0.11 MB (0.24 MB with a fragment per block),
+# the text at 0.05 MB, and `load_table` at 4.8 MB; as one string the JSON
+# peaked at 14.5 MB, decoding the input whole at 12 MB, and with a set of
+# the ids the ingest peaked at 7.0 MB.
 UNIFORM = (1 << 16, 3, 12)
+# 65,536 rows in as many one-row blocks.  Measured with Python 3.11: the
+# JSON render peaks at 0.10 MB and the text at 0.05 MB, where a label, a
+# fragment pair and a text suffix per block took them to 8.95 and 4.21 MB.
+KEYED_ROWS = 1 << 16
 RENDER_PEAK_BOUND_MB = 1
 LOAD_PEAK_BOUND_MB = 6
 
@@ -225,11 +231,17 @@ def _traced_peak(fn, *args):
 
 
 def test_rendering_json_holds_no_report_string():
-    table = load_table("t.csv", TableConfig(), _uniform_csv(*UNIFORM))
-    report = build_classification_report(table, None, "0" * 64, {})
-    assert len(table.block_sizes) == 12**3
-    _, peak = _traced_peak(render_json, report, _Discard())
-    assert peak < RENDER_PEAK_BOUND_MB * 2**20, f"peak {peak / 2**20:.2f} MB"
+    """Both renderers, on few large blocks and on one block per row."""
+    rng = random.Random(0)
+    keyed = _csv([(f"r{i}", (f"k{i}",), rng.choice("10?")) for i in range(KEYED_ROWS)])
+    for data, blocks in ((_uniform_csv(*UNIFORM), 12**3), (keyed, KEYED_ROWS)):
+        table = load_table("t.csv", TableConfig(), data)
+        report = build_classification_report(table, None, "0" * 64, {})
+        assert len(table.block_sizes) == blocks
+        for render in (render_json, render_classification_text):
+            _, peak = _traced_peak(render, report, _Discard())
+            assert peak < RENDER_PEAK_BOUND_MB * 2**20, (
+                f"{render.__name__}, {blocks} blocks: peak {peak / 2**20:.2f} MB")
 
 
 def test_load_table_decodes_no_whole_file_copy():
