@@ -78,9 +78,9 @@ Why the reduction is exact
    states^r cases, 27 for distributivity.
 
 A failing type set becomes a witness over the whole knowledge base as in
-step 2: its types go on the first objects of the largest block, its first
-type repeats over the rest of that block (which keeps the type set), and
-every variable is bottom on the other blocks.
+step 2 (`table.Partition.lift`): its types go on the first objects of the
+largest block, its first type repeats over the rest of that block (which
+keeps the type set), and every variable is bottom on the other blocks.
 
 A small catalogue of deliberate single-operator mutations is included so
 the checker's sensitivity can itself be tested.
@@ -92,7 +92,8 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .table import mask_of, members_of
+from .regions import NEGATIVE, POSITIVE
+from .table import members_of
 from .terms import LatticeOps, Pair, _function, _ops, _Parser
 
 if TYPE_CHECKING:
@@ -193,11 +194,8 @@ def _largest_block(partition: Partition) -> list[int]:
 
 # --- reduced engine (module docstring, steps 1-4) ------------------------------
 
-# A variable's state at one object, as bits: 1 = positive, 2 = negative.
-# 0 is the boundary; 3 (both) occurs only under drop-disjointness.
-_POSITIVE, _NEGATIVE = 1, 2
-
-
+# A variable's state at one object: its `regions.POSITIVE` and `NEGATIVE`
+# bits.  0 is the boundary; 3 (both) occurs only under drop-disjointness.
 def _state_count(mutation: str | None) -> int:
     return 4 if mutation == "drop-disjointness" else 3
 
@@ -211,9 +209,9 @@ def _pairs(
     for var in range(arity):
         pos, neg = 0, 0
         for i, state in zip(positions, types):
-            if state[var] & _POSITIVE:
+            if state[var] & POSITIVE:
                 pos |= 1 << i
-            if state[var] & _NEGATIVE:
+            if state[var] & NEGATIVE:
                 neg |= 1 << i
         out.append((pos, neg))
     return tuple(out)
@@ -252,23 +250,6 @@ def _reduced_verdict(
     return checked, None
 
 
-def _lift(
-    size: int, members: Sequence[int], type_set: tuple[tuple[int, ...], ...], arity: int
-) -> tuple[Pair, ...]:
-    """A witness over a knowledge base of `size` objects from a failing type
-    set, placed on `members`, its first largest block (module docstring),
-    whose objects after the type set's repeat its first type."""
-    head = len(type_set)
-    rest = mask_of(members[head:], size)
-    outside = ((1 << size) - 1) ^ mask_of(members, size)
-    first = type_set[0]
-    return tuple(
-        (pos | (rest if first[var] & _POSITIVE else 0),
-         neg | outside | (rest if first[var] & _NEGATIVE else 0))
-        for var, (pos, neg) in enumerate(_pairs(type_set, members[:head], arity))
-    )
-
-
 def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
                    members: Sequence[int], partition: Partition) -> AxiomReport:
     """Check the operators pbzlogic builds, standard or a named mutation, on
@@ -282,16 +263,15 @@ def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
     states = _state_count(mutation)
     cap = 1 if axiom.pointwise else min(len(members), states**axiom.arity)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
-    size = len(partition.objects)
     if checked > budget:  # with no failure, `checked` counts every case
         return AxiomReport(axiom.ident, "undecided", budget, False, None, partition)
     if failure is not None:
         return AxiomReport(
             axiom.ident, "counterexample", checked, False,
-            _lift(size, members, failure, axiom.arity), partition,
+            partition.lift(members, failure), partition,
         )
     return AxiomReport(axiom.ident, "holds", checked, True, None, partition,
-                       (states, size * axiom.arity))
+                       (states, len(partition.objects) * axiom.arity))
 
 
 def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,

@@ -29,7 +29,7 @@ help and usage errors, and `pathlib` only where `--logic` names a spec
 file.
 
 Exit status: 0 on success, 1 on data and usage errors and on a closed
-stdout, 2 when an axiom or logic check fails or stays undecided.
+stdout, 2 when an axiom or logic check fails or an axiom stays undecided.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def all_knowledge_bases(size: int) -> Iterator[Partition]:
 
 
 def validate_logic(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
-                   partition: Partition, budget: int | None) -> LogicValidation:
+                   partition: Partition) -> LogicValidation:
     """`logics.validate_blocks`, imported on first call so that `verify`
     never loads the logics.  The name stays until the tracer patches
     `logics` itself (ROADMAP.md, item 2)."""
     from .logics import validate_blocks
 
-    return validate_blocks(spec, labels_of, partition, budget)
+    return validate_blocks(spec, labels_of, partition)
 
 
 def build_classification_report(
@@ -105,7 +105,8 @@ def build_classification_report(
 
 
 def render_json(report: dict, out: TextIO) -> None:
-    """Write `json.dumps(report, indent=2, sort_keys=True)` and a newline.
+    """Write `json.dumps(report, indent=2, sort_keys=True, default=list)`
+    and a newline.
 
     The `objects` of a classification report (an `ObjectRows`) write
     themselves, a chunk at a time, where the rest of the report, rendered
@@ -234,7 +235,7 @@ def cmd_validate_logic(args: Args) -> int:
     def results() -> Iterator[LogicValidation]:
         nonlocal failed
         for _, partition in _partitions(args, str(args.size), "--size"):
-            result = validate_logic(spec, labels_of, partition, args.budget)
+            result = validate_logic(spec, labels_of, partition)
             failed = failed or result.status != "valid"
             yield result
 
@@ -315,9 +316,6 @@ COMMANDS: dict[str, Command] = {
         Option("--logic", "built-in logic name or spec file path", required=True),
         Option("--size", f"synthetic universe size from 1 to {MAX_SYNTHETIC_SIZE}"
                " when no input table is given: every set partition of it", 4, int),
-        Option("--budget", "maximum cases (realisable base values) evaluated per"
-               " knowledge base; a logic with more cases and no failure among them"
-               " is undecided", check=int),
         FORMAT,
     )),
     "list-logics": Command("list the built-in logics", cmd_list_logics, ()),

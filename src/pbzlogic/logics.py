@@ -43,12 +43,13 @@ Hence the logic is valid iff every value v with need(v) <= the largest
 block has exactly one label.  These realisable values are the cases,
 evaluated in the fixed order T, U, F, sT, K, sF, fK: by need(v), ties in
 the order of `TruthValue`.  The first case with no label or several is
-lifted to a witness concept: the construction of step 2 on the first
-smallest block that can take the value, with every object outside that
-block negative.  On that concept the block's objects have no single
-label, so the per-concept check that the enumerator runs finds the
-overlap or the uncovered objects.  Every other block meets only B and
-takes F, so by step 1 no evaluation is needed to find them.
+lifted to a witness concept by `table.Partition.lift`: the construction
+of step 2 on the first smallest block that can take the value, with
+every object outside that block negative.  On that concept the block's
+objects have no single label, so the per-concept check that the
+enumerator runs finds the overlap or the uncovered objects.  Every other
+block meets only B and takes F, so by step 1 no evaluation is needed to
+find them.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class LogicValidation(NamedTuple):
     of its `universe`: the partition checked, or kb's universe (the oracle)."""
 
     logic: str
-    status: str  # "valid" | "invalid" | "undecided"
+    status: str  # "valid" | "invalid"
     checked: int
     exhaustive: bool
     witness: tuple[int, int] | None = None
@@ -185,32 +186,20 @@ def _witness_block(block_sizes: Sequence[int], value: TruthValue) -> int:
                key=block_sizes.__getitem__)
 
 
-def _witness(partition: Partition, block: int, value: TruthValue) -> tuple[int, int, int]:
-    """The mask of the given block, and the positive and negative masks of a
-    concept on which it takes `value`: its first objects go one into each
-    region of the value, in the order positive, negative, boundary, and the
-    rest into the first of them; every other object is negative.  The block
-    has at least need(value) objects."""
-    rows = partition.rows(block)
-    regions = [r for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
-    regions += regions[:1] * (len(rows) - len(regions))
-    size = len(partition.objects)
-    inside = mask_of(rows, size)
-    positive, negative = (
-        mask_of([i for i, r in zip(rows, regions) if r == region], size)
-        for region in (POSITIVE, NEGATIVE))
-    return inside, positive, ((1 << size) - 1) ^ inside | negative
-
-
 def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
              partition: Partition, value: TruthValue, checked: int) -> LogicValidation:
     """The verdict of the failing case `value`: its witness concept, and on
     it the first overlap in spec order, or else the uncovered objects, as
-    `_partition_failure` finds them.  A derived value holds the witness
-    block if its label is in `labels_of[value]`, the others if in that of F."""
-    inside, positive, negative = _witness(
-        partition, _witness_block(partition.block_sizes, value), value)
-    full = (1 << len(partition.objects)) - 1
+    `_partition_failure` finds them.  The witness block's first objects go
+    one into each region of the value, in the order positive, negative,
+    boundary (`Partition.lift`).  A derived value holds the witness block
+    if its label is in `labels_of[value]`, the others if in that of F."""
+    rows = partition.rows(_witness_block(partition.block_sizes, value))
+    regions = [(r,) for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
+    ((positive, negative),) = partition.lift(rows, regions)
+    size = len(partition.objects)
+    inside = mask_of(rows, size)
+    full = (1 << size) - 1
     held: list[tuple[str, int]] = []  # each derived value's objects, in spec order
     covered = 0
     for label in spec.labels():
@@ -229,10 +218,7 @@ def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
 
 
 def validate_blocks(
-    spec: LogicSpec,
-    labels_of: dict[TruthValue, tuple[str, ...]],
-    partition: Partition,
-    budget: int | None = None,
+    spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]], partition: Partition
 ) -> LogicValidation:
     """Decide whether the logic partitions U for every orthopair over a
     partition: the one engine of `validate-logic` and `validate_logic`.
@@ -240,31 +226,23 @@ def validate_blocks(
     `labels_of` is `spec.value_table()`, computed once by the caller.
     Exact, by the rule in the module docstring: each base value the largest
     block can take is a case, and the logic is valid iff each case has
-    exactly one label.  A verdict counts the cases evaluated: a valid one
-    all, covering the 3^|U| concepts; an invalid one up to the failure,
-    with its witness concept.  The budget truncates the case order: with
-    more cases than the budget and no failure among the first `budget`,
-    the verdict is undecided.  A budget below 1 is a ValueError.
+    exactly one label.  So a verdict is always exact, and counts the cases
+    evaluated: a valid one all, covering the 3^|U| concepts; an invalid one
+    up to the failure, with its witness concept.
     """
-    if budget is not None and budget < 1:
-        raise ValueError(f"the budget must be at least 1, got {budget}")
     largest = max(partition.block_sizes)
     cases = [value for value in _CASE_ORDER if value.flag.bit_count() <= largest]
-    for checked, value in enumerate(cases[:budget], 1):
+    for checked, value in enumerate(cases, 1):
         if len(labels_of[value]) != 1:
             return _invalid(spec, labels_of, partition, value, checked)
-    if budget is not None and len(cases) > budget:
-        return LogicValidation(spec.name, "undecided", budget, False)
     return LogicValidation(spec.name, "valid", len(cases), True,
                            covers=(3, len(partition.objects)))
 
 
-def validate_logic(
-    kb: KnowledgeBase, spec: LogicSpec, budget: int | None = None
-) -> LogicValidation:
+def validate_logic(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
     """Decide whether the logic partitions U for every orthopair over kb:
     `validate_blocks` on `kb.partition()`."""
-    return validate_blocks(spec, spec.value_table(), kb.partition(), budget)
+    return validate_blocks(spec, spec.value_table(), kb.partition())
 
 
 def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:

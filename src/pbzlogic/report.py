@@ -8,6 +8,7 @@ write the objects; `render_classification_text` writes the text form.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Iterator, TextIO
 
 from _json import encode_basestring_ascii
@@ -75,23 +76,19 @@ def build_classification_report(
     }
 
 
-class ObjectRows(list):
-    """The `objects` of a classification report, read from the table.
+class ObjectRows(Sequence):
+    """The `objects` of a classification report, read from the table: a
+    read-only sequence, which `json.dumps(report, default=list)` encodes.
 
     Entry i is `{"derived": ..., "id": ..., "seven": ...}` for the object
     `ids[i]` of block `block_ids[i]`, whose value and label are those of
     the block's flag, `flags[block_ids[i]]`.  An entry is made when read,
     so that a report holds no dict per object; the renderers read the
     arrays themselves.
-    It is a list subclass only so that `json.dumps` encodes it (both of
-    its encoders iterate a list subclass): the list's own storage stays
-    empty, so this is a read-only sequence, and list methods not defined
-    here see an empty list.
     """
 
     def __init__(self, ids: list[str], block_ids: array, flags: bytearray,
                  seven: list[str], derived: list[str]) -> None:
-        super().__init__()
         self.ids = ids
         self.block_ids = block_ids
         self.flags = flags  # per block
@@ -114,10 +111,7 @@ class ObjectRows(list):
         return self._entry(self.ids[i], self.block_ids[i])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, list) and list(self) == list(other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
+        return isinstance(other, (list, ObjectRows)) and list(self) == list(other)
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -73,6 +73,28 @@ class Partition(NamedTuple):
         """The positions of the objects of the given block, in order."""
         return [i for i, b in enumerate(self.block_ids) if b == block]
 
+    def lift(self, rows: Sequence[int],
+             types: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
+        """The witness of a failing case, one (positive, negative) mask pair
+        per variable: the objects at `rows`, one block's positions, take the
+        `types` in order, the rest of the block repeats the first type, and
+        every other object is negative.  A type holds one state per
+        variable, whose `regions.POSITIVE` and `NEGATIVE` bits place the
+        object (neither: the boundary).  The masks are built in byte
+        buffers, so the time is linear in |U|."""
+        size = len(self.objects)
+        head = list(zip(rows, types))
+        rest = mask_of(rows[len(head):], size)
+        outside = ((1 << size) - 1) ^ mask_of(rows, size)
+        first = types[0]
+
+        def mask(var: int, bit: int) -> int:
+            return (mask_of([i for i, state in head if state[var] & bit], size)
+                    | (rest if first[var] & bit else 0))
+
+        return tuple((mask(var, POSITIVE), outside | mask(var, NEGATIVE))
+                     for var in range(len(first)))
+
 
 def mask_of(indices: Iterable[int], size: int) -> int:
     """The mask over `size` positions with the given bits set, from a byte

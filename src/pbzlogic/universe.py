@@ -19,7 +19,7 @@ class UniverseMismatchError(ValueError):
 class Universe(FrozenRecord):
     """Ordered finite set of named objects; the index of each name is stable."""
 
-    __slots__ = ("objects", "__dict__")  # the dict holds the cached `_index`
+    __slots__ = ("objects", "__dict__")  # the dict holds `_index` and `full_mask`
 
     def __init__(self, objects: tuple[str, ...]) -> None:
         if not objects:
@@ -40,7 +40,7 @@ class Universe(FrozenRecord):
     def size(self) -> int:
         return len(self.objects)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.objects)) - 1
 

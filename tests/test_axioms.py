@@ -18,6 +18,7 @@ from pbzlogic import (
 from pbzlogic import axioms, brute
 from pbzlogic.brute import mutated_ops, standard_ops
 from pbzlogic.sweep import all_orthopair_masks
+from pbzlogic.table import Partition
 
 
 def _all_pairs_including_overlapping(size: int):
@@ -411,10 +412,12 @@ def test_a_lift_onto_a_large_block_takes_linear_time():
     members = [1, 3, 4, 6, 7]
     filled = type_set + (type_set[0],) * 2
     outside = 0b1111_1111 ^ sum(1 << i for i in members)
-    assert axioms._lift(8, members, type_set, 3) == tuple(
+    partition = Partition([f"o{i}" for i in range(8)], [0, 1, 0, 1, 1, 0, 1, 1], [3, 5])
+    assert partition.lift(members, type_set) == tuple(
         (pos, neg | outside) for pos, neg in axioms._pairs(filled, members, 3))
     size = 1 << 19
+    partition = Partition(range(size), [0] + [1] * (size - 1), [1, size - 1])
     start = time.perf_counter()
-    witness = axioms._lift(size, list(range(1, size)), type_set, 3)
+    witness = partition.lift(range(1, size), type_set)
     assert time.perf_counter() - start < 2.0
     assert witness[0] == (0b10 | ((1 << size) - 1) ^ 0b1111, 0b101)

@@ -608,21 +608,29 @@ def test_verify_mutation_fails(capsys):
         (["verify", "--sizes", "2", "--budget", "0"], 0),
         (["verify", "--sizes", "2", "--budget", "-3"], -3),
         (["verify", "--sizes", "2", "--mutate", "kleene-identity", "--budget", "0"], 0),
-        (["validate-logic", "--logic", "belnap", "--size", "2", "--budget", "0"], 0),
         # the reports are streamed, but no byte is written before the first verdict
         (["verify", "--sizes", "2", "--budget", "0", "--format", "json"], 0),
         (["verify", "--input", str(DEMO_CSV), "--budget", "0", "--format", "json"], 0),
-        (["validate-logic", "--logic", "belnap", "--size", "2", "--budget", "0",
-          "--format", "json"], 0),
     ],
-    ids=["verify-zero", "verify-negative", "mutation", "validate-logic", "verify-json",
-         "verify-table-json", "validate-logic-json"],
+    ids=["verify-zero", "verify-negative", "mutation", "verify-json", "verify-table-json"],
 )
 def test_budget_below_one_is_a_data_error(capsys, argv, budget):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (
         1, "", f"error: the budget must be at least 1, got {budget}\n"
     )
+
+
+def test_validate_logic_takes_no_budget(capsys):
+    # a logic verdict is always exact: the option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-logic", "--logic", "belnap", "--size", "3", "--budget", "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert "error: unrecognized arguments: --budget 1\n" in err
+    with pytest.raises(SystemExit):
+        main(["validate-logic", "--help"])
+    assert "--budget" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

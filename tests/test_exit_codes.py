@@ -67,7 +67,7 @@ def commands(draw, path: str) -> list[str]:
         if command == "classify":
             logics.append("seven")
         argv += ["--logic", draw(st.sampled_from(logics))]
-    if command != "classify":
+    if command == "verify":
         # the first branch makes budgets below 1 common
         budget = draw(st.one_of(st.integers(-2, 1), st.integers(-2, 600)))
         argv += ["--budget", str(budget)]

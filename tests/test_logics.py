@@ -26,9 +26,9 @@ from pbzlogic.logics import (
     BASE_SYMBOLS,
     _partition_failure,
     _validate_brute,
-    _witness,
     _witness_block,
 )
+from pbzlogic.regions import BOUNDARY, NEGATIVE, POSITIVE
 from pbzlogic.sevenvalued import DOWNWARD_MEMBERS, UPWARD_MEMBERS
 
 V = TruthValue
@@ -178,23 +178,15 @@ def test_disjointness_failure(six_kb):
     assert result.overlap[:2] == ("a", "b")
 
 
-def test_validation_undecided_under_tiny_budget(six_kb):
-    # six_kb's largest block has 2 objects: 6 cases, T to sF
-    result = validate_logic(six_kb, builtin_logic("belnap"), budget=5)
-    assert result.status == "undecided"
-    assert not result.exhaustive
-    assert result.checked == 5
-    assert validate_logic(six_kb, builtin_logic("belnap"), budget=6).status == "valid"
-
-
 def test_case_regions_match_the_classifier():
     # The cases in order.  On blocks of 1, 3 and 2 objects, a case's witness
-    # is the first smallest block that can take its value: the block's
-    # objects go one into each of the value's regions, in the order
-    # positive, negative, boundary, and the rest into the first; every
-    # other object is negative.  The witness block takes the case's value.
+    # is the first smallest block that can take its value, lifted by
+    # `Partition.lift` with the value's regions in the order positive,
+    # negative, boundary: the block's objects go one into each, and the
+    # rest into the first; every other object is negative.  The witness
+    # block takes the case's value.
     kb = KnowledgeBase.from_block_ids(default_universe(6), [0, 1, 1, 1, 2, 2])
-    u = kb.universe
+    partition, u = kb.partition(), kb.universe
     witnesses = {  # symbol: witness block, positive objects, negative objects
         "T": (0, "o1", "o2 o3 o4 o5 o6"),
         "U": (0, "", "o2 o3 o4 o5 o6"),
@@ -208,8 +200,8 @@ def test_case_regions_match_the_classifier():
     for value in _CASE_ORDER:
         block, positive, negative = witnesses[value.symbol]
         assert _witness_block([1, 3, 2], value) == block
-        inside, pos, neg = _witness(kb.partition(), block, value)
-        assert inside == kb.blocks[block].bits
+        regions = [(r,) for r in (POSITIVE, NEGATIVE, BOUNDARY) if value.flag & r]
+        ((pos, neg),) = partition.lift(partition.rows(block), regions)
         p = Orthopair(ObjectSet(u, pos), ObjectSet(u, neg))
         assert (list(p.positive), list(p.negative)) == (positive.split(), negative.split())
         assert block_values(kb, p)[block] is value
@@ -223,14 +215,11 @@ NO_K = LogicSpec("no-K", (
 ))
 
 
-def test_budget_truncates_the_case_order(six_kb):
-    assert validate_logic(six_kb, NO_K, budget=4) == (
-        "no-K", "undecided", 4, False, None, None, None, None, None
-    )
-    for budget in (5, 6, None):
-        result = validate_logic(six_kb, NO_K, budget=budget)
-        assert (result.status, result.checked, result.exhaustive) == ("invalid", 5, True)
-        assert set(ObjectSet(six_kb.universe, result.uncovered)) == {"o1", "o2"}
+def test_the_first_case_without_a_single_label_fails(six_kb):
+    # six_kb's largest block has 2 objects: 6 cases, T to sF
+    result = validate_logic(six_kb, NO_K)
+    assert (result.status, result.checked, result.exhaustive) == ("invalid", 5, True)
+    assert set(ObjectSet(six_kb.universe, result.uncovered)) == {"o1", "o2"}
     # with blocks of one object, K is not realisable
     singletons = KnowledgeBase.from_block_ids(default_universe(3), [0, 1, 2])
     assert validate_logic(singletons, NO_K).status == "valid"

@@ -77,7 +77,7 @@ def test_the_exact_parser_agrees_with_argparse(argv):
      "--attributes", "", "--decision-column", "d"],
     ["verify", "--sizes", "3,4", "--budget", "20", "--mutate", "kleene-identity"],
     ["verify", "--input", "t.csv", "--format", "json", "--format", "text"],
-    ["validate-logic", "--logic", "belnap", "--size", "3", "--budget", "5"],
+    ["validate-logic", "--logic", "belnap", "--size", "3"],
     ["list-logics"],
 ], ids=["classify", "classify-all", "verify-sweep", "verify-repeated", "validate-logic",
         "list-logics"])

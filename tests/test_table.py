@@ -34,6 +34,7 @@ from pbzlogic.cli import (
 )
 from pbzlogic.logics import BASE_SYMBOLS, single_label
 from pbzlogic.report import render_classification_text
+from pbzlogic.sweep import all_partitions
 
 from .oracle import oracle_table
 
@@ -164,6 +165,42 @@ def test_report_objects_read_as_a_list_of_entries(demo_csv):
     assert objects[2] == entries[2] and objects[-1] == entries[-1]
     assert objects[1:3] == entries[1:3]
     assert repr(objects) == repr(entries)
+
+
+def test_report_objects_answer_sequence_methods_as_their_list(demo_csv):
+    reports = [build_classification_report(load_table(demo_csv), None, "0" * 64, {})
+               for _ in range(2)]
+    objects = reports[0]["objects"]
+    entries = list(objects)
+    assert reports[0] == reports[1]
+    for entry in (objects[2], {"id": "o9", "seven": "T", "derived": "T"}):
+        assert (entry in objects) == (entry in entries)
+        assert objects.count(entry) == entries.count(entry)
+    assert objects.index(objects[2]) == entries.index(objects[2]) == 2
+    assert list(reversed(objects)) == entries[::-1]
+
+
+def test_a_lift_matches_a_per_object_reference():
+    # On every block of every set partition of 1 to 5 objects, the lift of
+    # a type list equals masks built one object at a time from each
+    # object's state: the block's first objects take the types, the rest
+    # the first type, and every other object is negative.
+    rng = random.Random(0)
+    for size in range(1, 6):
+        for partition in all_partitions(size):
+            for block in range(len(partition.block_sizes)):
+                rows = partition.rows(block)
+                for _ in range(6):
+                    arity = rng.randint(1, 3)
+                    types = [tuple(rng.randrange(4) for _ in range(arity))
+                             for _ in range(rng.randint(1, len(rows)))]
+                    state_of = dict(zip(rows, types + types[:1] * len(rows)))
+                    expected = tuple(
+                        (sum(1 << i for i, s in state_of.items() if s[var] & 1),
+                         sum(1 << i for i in range(size)
+                             if i not in state_of or state_of[i][var] & 2))
+                        for var in range(arity))
+                    assert partition.lift(rows, types) == expected, (partition, types)
 
 
 # Measured with Python 3.11: a 3.0 MB peak for 16,384 rows in 16,384 blocks,
