@@ -28,6 +28,12 @@ parser that `build_parser` builds from it.  So `argparse` loads only for
 help and usage errors, and `pathlib` only where `--logic` names a spec
 file.
 
+`run` is the process entry, of `python -m pbzlogic.cli` and of the
+installed `pbzlogic` script: it calls `main`, flushes stdout and stderr and
+ends with `os._exit`, so a process skips the interpreter's teardown once
+its output is written.  `main` is the library and test entry and returns
+the exit code.
+
 Exit status: 0 on success, 1 on data and usage errors and on a closed
 stdout, 2 when an axiom or logic check fails or an axiom stays undecided.
 """
@@ -388,6 +394,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -396,9 +404,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             # The reader of stdout is gone: point it at /dev/null, so that
             # the flush at exit cannot fail too.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: {exc}\n")
+        if sys.stderr is not None:
+            sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_ERROR
 
 
+def run() -> NoReturn:
+    """The process entry: `main`, a flush of stdout and stderr, then
+    `os._exit` with `main`'s code, which skips the interpreter's teardown.
+    A `SystemExit` (help, usage errors) or an uncaught exception leaves
+    `main` and ends the process the usual way."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                # `main` flushes stdout before it returns 0 or 2, so this is
+                # a failed command whose error `main` reported, returning 1;
+                # a full device, say, keeps the bytes it refused.
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -843,20 +843,26 @@ def test_sha256_hex_equals_hashlib(size):
     assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("rows, head", [(6, None), (20_000, None), (20_000, 100)])
+@pytest.mark.parametrize("rows, head", [(6, None), (20_000, None), (20_000, 100),
+                                        ("verify", None), ("verify", 100)])
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_exits_1(tmp_path, rows, head, unbuffered):
-    """A classify whose stdout loses its reader, from the start (`head` is
-    None) or after `head` bytes, reports the broken pipe once and exits 1,
-    whether the error comes from a write or from the last flush."""
-    path = tmp_path / "table.csv"
-    path.write_text("id,a,d\n" + "".join(f"o{i},v{i % 7},{i % 2}\n" for i in range(rows)))
+    """A classify of a table of `rows` rows, or where `rows` is "verify" a
+    `verify --sizes 1,2,3,4,5 --format json` (about 330 kB), whose stdout
+    loses its reader, from the start (`head` is None) or after `head`
+    bytes, reports the broken pipe once and exits 1, whether the error
+    comes from a write or from the last flush."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(pbzlogic.__file__).parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "pbzlogic.cli", "classify", "--input", str(path),
-            "--format", "json"]
+    argv = [sys.executable, "-m", "pbzlogic.cli"]
+    if rows == "verify":
+        argv += ["verify", "--sizes", "1,2,3,4,5", "--format", "json"]
+    else:
+        path = tmp_path / "table.csv"
+        path.write_text("id,a,d\n" + "".join(f"o{i},v{i % 7},{i % 2}\n" for i in range(rows)))
+        argv += ["classify", "--input", str(path), "--format", "json"]
     if head is None:
         read, write = os.pipe()
         os.close(read)
