@@ -5,17 +5,17 @@ universe, represented as raw (positive, negative) bit-mask pairs.  Two
 engines reach a verdict:
 
 * the reduced engine, this module, decides an axiom exactly from a few
-  cases on single-block knowledge bases, by the argument below.  It checks
-  the operators pbzlogic builds itself: the standard operators, or one of
-  the documented mutations.  The budget cuts it short: it evaluates its
-  cases in a fixed order, and when there are more cases than the budget
-  and none of the first `budget` fails, the verdict is undecided.  It
-  takes a `table.Partition` (object names, a block id per object, the
-  block sizes), not the knowledge base: `verify` passes a table or a set
-  partition of its sweep to `check_blocks`, so `verify` loads neither the
-  mask layer nor the brute engine;
+  cases on single-block knowledge bases, by the argument below, so its
+  verdict is always `holds` or `counterexample`.  It checks the operators
+  pbzlogic builds itself: the standard operators, or one of the
+  documented mutations.  The most cases any axiom has is 511 under the
+  standard operators and 65,535 under drop-disjointness (step 3), so it
+  takes no budget.  It takes a `table.Partition` (object names, a block
+  id per object, the block sizes), not the knowledge base: `verify`
+  passes a table or a set partition of its sweep to `check_blocks`, so
+  `verify` loads neither the mask layer nor the brute engine;
 * the brute engine (`brute._check_brute`) enumerates every tuple of
-  orthopairs while the tuple count, 3^(|U| * arity), fits in the budget
+  orthopairs while the tuple count, 3^(|U| * arity), fits in its budget
   and samples otherwise, one uniform state per object and variable; a
   sampled run that finds no violation is reported as undecided, never as
   a pass.  It runs for caller-supplied operators or elements, and in the
@@ -70,7 +70,7 @@ Why the reduction is exact
    largest block realises every type set of the smaller ones.  So the
    verdict depends only on the axiom, the mutation and
    min(largest block, states^r): with three states, at most 7 type sets
-   for a unary axiom and 511 for a binary one.
+   for a unary axiom and 511 for a binary one; with four, 15 and 65,535.
 
 4. Pointwise axioms.  An axiom that never applies the approximation acts
    on each object by itself, so its algebra is the product of one-object
@@ -99,8 +99,6 @@ from .terms import LatticeOps, Pair, _function, _ops, _Parser
 if TYPE_CHECKING:
     from .table import Partition
     from .universe import Universe
-
-DEFAULT_BUDGET = 2_000_000
 
 
 class Axiom(NamedTuple):
@@ -149,9 +147,9 @@ AXIOMS: dict[str, Axiom] = {axiom.ident: axiom for axiom in _AXIOM_LIST}
 
 class AxiomReport(NamedTuple):
     axiom: str
-    status: str  # "holds" | "counterexample" | "undecided"
+    # "holds" | "counterexample", or "undecided" from a brute-engine sample
+    status: str
     cases_checked: int
-    exhaustive: bool
     witness: tuple[Pair, ...] | None
     # Its `objects` name a witness's objects: the partition checked, or kb's
     # universe under the brute engine.
@@ -171,7 +169,7 @@ class AxiomReport(NamedTuple):
             "axiom": self.axiom,
             "status": self.status,
             "cases_checked": self.cases_checked,
-            "exhaustive": self.exhaustive,
+            "exhaustive": self.status == "holds",
         }
         if self.covers is not None:
             out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
@@ -179,11 +177,6 @@ class AxiomReport(NamedTuple):
         if witness is not None:
             out["witness"] = witness
         return out
-
-
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError(f"the budget must be at least 1, got {budget}")
 
 
 def _largest_block(partition: Partition) -> list[int]:
@@ -224,7 +217,8 @@ def _block_ops(size: int, mutation: str | None) -> LatticeOps:
     mask is the whole block if the mask is, and nothing otherwise."""
     full = (1 << size) - 1
     ops = _ops(full, lambda m: full if m == full else 0)
-    return ops if mutation is None else _mutate(ops, mutation)
+    # drop-disjointness changes the states (`_state_count`), not the operators
+    return ops if mutation in (None, "drop-disjointness") else _mutate(ops, mutation)
 
 
 # The key space is small (axiom, mutation, cap <= 16), so the cache stays
@@ -250,32 +244,26 @@ def _reduced_verdict(
     return checked, None
 
 
-def _check_builtin(axiom: Axiom, budget: int, mutation: str | None,
+def _check_builtin(axiom: Axiom, mutation: str | None,
                    members: Sequence[int], partition: Partition) -> AxiomReport:
     """Check the operators pbzlogic builds, standard or a named mutation, on
     a partition whose first largest block holds the objects at `members`.
 
-    Every verdict counts the reduced cases it evaluated, and a hold covers
-    the states^(|U| * arity) tuples of orthopairs.  The verdict is the one
-    the first `budget` reduced cases give: the cached run evaluates them in
-    the same order and stops at the first failure.
+    Every verdict counts the reduced cases it evaluated, up to the first
+    failure, and a hold covers the states^(|U| * arity) tuples of
+    orthopairs.
     """
     states = _state_count(mutation)
     cap = 1 if axiom.pointwise else min(len(members), states**axiom.arity)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
-    if checked > budget:  # with no failure, `checked` counts every case
-        return AxiomReport(axiom.ident, "undecided", budget, False, None, partition)
     if failure is not None:
-        return AxiomReport(
-            axiom.ident, "counterexample", checked, False,
-            partition.lift(members, failure), partition,
-        )
-    return AxiomReport(axiom.ident, "holds", checked, True, None, partition,
+        return AxiomReport(axiom.ident, "counterexample", checked,
+                           partition.lift(members, failure), partition)
+    return AxiomReport(axiom.ident, "holds", checked, None, partition,
                        (states, len(partition.objects) * axiom.arity))
 
 
-def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,
-                 mutation: str | None = None) -> list[AxiomReport]:
+def check_blocks(partition: Partition, mutation: str | None = None) -> list[AxiomReport]:
     """Every axiom, under the standard operators or one documented
     mutation, on a partition: the reduced engine's one entry, which
     `verify` runs on each table or set partition, and `brute.check_all`
@@ -283,22 +271,17 @@ def check_blocks(partition: Partition, budget: int = DEFAULT_BUDGET,
 
     By the module docstring the verdicts depend only on the largest block,
     and the first largest block places a counterexample; the partition's
-    `objects` name it.  An unknown mutation or a budget below 1 is a
-    ValueError.
+    `objects` name it.  An unknown mutation is a ValueError.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    _check_budget(budget)
     members = _largest_block(partition)
-    return [
-        _check_builtin(axiom, budget, mutation, members, partition)
-        for axiom in _AXIOM_LIST
-    ]
+    return [_check_builtin(axiom, mutation, members, partition) for axiom in _AXIOM_LIST]
 
 
 def certified(reports: Sequence[AxiomReport]) -> bool:
-    """True only when every axiom held under exhaustive enumeration."""
-    return all(r.status == "holds" and r.exhaustive for r in reports)
+    """True only when every axiom holds: an exact verdict."""
+    return all(r.status == "holds" for r in reports)
 
 
 # --- mutation harness -------------------------------------------------------
@@ -314,7 +297,8 @@ MUTATIONS: dict[str, str] = {
 
 
 def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
-    """`ops` with the one operator that the named mutation replaces."""
+    """`ops` with the one operator that the named mutation replaces; a
+    ValueError for drop-disjointness, which replaces none."""
     lower, upper = ops.lower, ops.upper
     if name == "pawlak-upper-on-negative":
         return ops._replace(pawlak=lambda p: (lower(p[0]), upper(p[1])))
@@ -327,5 +311,6 @@ def _mutate(ops: LatticeOps, name: str) -> LatticeOps:
     if name == "meet-drops-negative":
         return ops._replace(meet=lambda p, q: (p[0] & q[0], p[1] & q[1]))
     if name == "drop-disjointness":
-        return ops  # the mutation changes the enumeration, not the operators
+        raise ValueError("the drop-disjointness mutation changes the elements, not the"
+                         " operators: check the standard operators on overlapping pairs")
     raise ValueError(f"unknown mutation {name!r}")

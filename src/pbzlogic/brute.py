@@ -4,9 +4,10 @@ The library's knowledge-base API: `check_axiom`, `check_all` and
 `run_mutation` read a `Partition` off the knowledge base and hand it to the
 reduced engine (`axioms.check_blocks`), except where the caller supplies
 the operators or the elements, which only the brute engine (`_check_brute`)
-can check.  The brute engine is also the tests' oracle of the reduced
-engine.  No command imports this module: `verify` calls the reduced engine
-directly.
+can check.  Only the brute engine takes a budget, the most tuples it
+enumerates before it samples, and only it can answer undecided.  It is
+also the tests' oracle of the reduced engine.  No command imports this
+module: `verify` calls the reduced engine directly.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .axioms import (
     AXIOMS,
-    DEFAULT_BUDGET,
     Axiom,
     AxiomReport,
-    _check_budget,
     _check_builtin,
     _largest_block,
     _mutate,
@@ -32,6 +31,14 @@ from .terms import LatticeOps, Pair, standard_ops
 if TYPE_CHECKING:
     from .universe import KnowledgeBase
 
+# The most tuples the brute engine enumerates before it samples instead.
+DEFAULT_BUDGET = 2_000_000
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"the budget must be at least 1, got {budget}")
+
 
 def check_axiom(
     kb: KnowledgeBase,
@@ -43,11 +50,12 @@ def check_axiom(
 ) -> AxiomReport:
     """Quantify one axiom over the orthopairs of kb's universe.
 
-    Without `ops` and `elements` the reduced engine checks the standard
-    operators: at most `budget` of its cases are evaluated, and an axiom
-    with more cases and no failure among the first `budget` is undecided.
-    Given either, the brute engine runs on them, and `seed` drives its
-    sampling.  A budget below 1 is a ValueError.
+    Without `ops` and `elements` the reduced engine decides the standard
+    operators exactly.  Given either, the brute engine runs on them: it
+    enumerates every tuple when there are at most `budget` of them, and
+    otherwise samples `budget` tuples, driven by `seed`, and a sample with
+    no failure is undecided.  The budget applies only then, but one below 1
+    is always a ValueError.
     """
     try:
         axiom = AXIOMS[axiom_id]
@@ -56,7 +64,7 @@ def check_axiom(
     _check_budget(budget)
     if ops is None and elements is None:
         partition = kb.partition()
-        return _check_builtin(axiom, budget, None, _largest_block(partition), partition)
+        return _check_builtin(axiom, None, _largest_block(partition), partition)
     if ops is None:
         ops = standard_ops(kb)
     return _check_brute(kb, axiom, budget, ops, elements, seed)
@@ -91,9 +99,9 @@ def _check_brute(kb: KnowledgeBase, axiom: Axiom, budget: int, ops: LatticeOps,
     for tup in tuples:
         checked += 1
         if not axiom.predicate(ops, *tup):
-            return AxiomReport(axiom.ident, "counterexample", checked, False, tup, kb.universe)
+            return AxiomReport(axiom.ident, "counterexample", checked, tup, kb.universe)
     status, covers = ("holds", (base, exponent)) if exact else ("undecided", None)
-    return AxiomReport(axiom.ident, status, checked, exact, None, kb.universe, covers)
+    return AxiomReport(axiom.ident, status, checked, None, kb.universe, covers)
 
 
 def check_all(
@@ -103,8 +111,11 @@ def check_all(
     elements: Sequence[Pair] | None = None,
     seed: int = 0,
 ) -> list[AxiomReport]:
+    """Every axiom, as `check_axiom` checks it: the budget applies only when
+    `ops` or `elements` are given."""
+    _check_budget(budget)
     if ops is None and elements is None:
-        return check_blocks(kb.partition(), budget)
+        return check_blocks(kb.partition())
     return [
         check_axiom(kb, ident, budget=budget, ops=ops, elements=elements, seed=seed)
         for ident in AXIOMS
@@ -112,12 +123,13 @@ def check_all(
 
 
 def mutated_ops(kb: KnowledgeBase, name: str) -> LatticeOps:
+    """kb's standard operators with the one that the named mutation
+    replaces.  drop-disjointness replaces none, so it is a ValueError: it
+    changes the elements, to every pair of masks, overlapping ones too."""
     return _mutate(standard_ops(kb), name)
 
 
-def run_mutation(
-    kb: KnowledgeBase, name: str, budget: int = DEFAULT_BUDGET
-) -> list[AxiomReport]:
-    """Run every axiom against one documented mutation, with the budget
-    semantics of check_axiom."""
-    return check_blocks(kb.partition(), budget, name)
+def run_mutation(kb: KnowledgeBase, name: str) -> list[AxiomReport]:
+    """Every axiom against one documented mutation, decided exactly by the
+    reduced engine."""
+    return check_blocks(kb.partition(), name)

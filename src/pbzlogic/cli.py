@@ -34,8 +34,9 @@ ends with `os._exit`, so a process skips the interpreter's teardown once
 its output is written.  `main` is the library and test entry and returns
 the exit code.
 
-Exit status: 0 on success, 1 on data and usage errors and on a closed
-stdout, 2 when an axiom or logic check fails or an axiom stays undecided.
+Exit status: 0 on success, 1 on data and usage errors and on an output
+that cannot be written, 2 when an axiom or logic check fails.  Every
+verdict of both commands is exact: neither takes a budget.
 """
 
 from __future__ import annotations
@@ -200,13 +201,12 @@ def cmd_classify(args: Args) -> int:
 def cmd_verify(args: Args) -> int:
     from . import axioms, verdicts  # here, so that the other commands never load them
 
-    budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
     failed = False
 
     def runs() -> Iterator[tuple[str, bool, list[AxiomReport]]]:
         nonlocal failed
         for label, partition in _partitions(args, args.sizes, "--sizes"):
-            reports = axioms.check_blocks(partition, budget, args.mutate)
+            reports = axioms.check_blocks(partition, args.mutate)
             ok = axioms.certified(reports)
             failed = failed or not ok
             yield label, ok, reports
@@ -312,8 +312,6 @@ COMMANDS: dict[str, Command] = {
         *_table_options(required=False),
         Option("--sizes", f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
                " e.g. 3,4 (default 1,2,3,4)", "1,2,3,4"),
-        Option("--budget", "maximum cases evaluated per axiom; an axiom with more"
-               " reduced cases and no failure among them is undecided", check=int),
         FORMAT,
         Option("--mutate", SUPPRESS),  # test harness only
     )),
@@ -371,6 +369,16 @@ def build_parser() -> ArgumentParser:
             self.print_usage(sys.stderr)
             self.exit(EXIT_DATA_ERROR, f"{self.prog}: error: {message}\n")
 
+        def print_help(self, file: TextIO | None = None) -> None:
+            """Write and flush the help, raising the OSError of a failed
+            write for `main` to report: argparse's own would swallow it,
+            and write to stderr when stdout is closed."""
+            file = sys.stdout if file is None else file
+            if file is None:
+                raise OSError("stdout is closed")
+            file.write(self.format_help())
+            file.flush()
+
     parser = _Parser(
         prog="pbzlogic",
         description="Seven-valued rough-set classification of decision tables",
@@ -390,10 +398,10 @@ def build_parser() -> ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = parse_exact(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
     try:
+        args = parse_exact(argv)
+        if args is None:  # a help that cannot be written raises an OSError
+            args = build_parser().parse_args(argv)
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")
         code = args.func(args)

@@ -124,7 +124,6 @@ class LogicValidation(NamedTuple):
     logic: str
     status: str  # "valid" | "invalid"
     checked: int
-    exhaustive: bool
     witness: tuple[int, int] | None = None
     overlap: tuple[str, str, int] | None = None
     uncovered: int | None = None
@@ -136,7 +135,7 @@ class LogicValidation(NamedTuple):
             "logic": self.logic,
             "status": self.status,
             "checked": self.checked,
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,  # both engines decide exactly
         }
         if self.covers is not None:
             out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
@@ -213,7 +212,7 @@ def _invalid(spec: LogicSpec, labels_of: dict[TruthValue, tuple[str, ...]],
         covered |= s
     else:
         failure = {"uncovered": full ^ covered}
-    return LogicValidation(spec.name, "invalid", checked, True, (positive, negative),
+    return LogicValidation(spec.name, "invalid", checked, (positive, negative),
                            universe=partition, **failure)
 
 
@@ -235,8 +234,7 @@ def validate_blocks(
     for checked, value in enumerate(cases, 1):
         if len(labels_of[value]) != 1:
             return _invalid(spec, labels_of, partition, value, checked)
-    return LogicValidation(spec.name, "valid", len(cases), True,
-                           covers=(3, len(partition.objects)))
+    return LogicValidation(spec.name, "valid", len(cases), covers=(3, len(partition.objects)))
 
 
 def validate_logic(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
@@ -255,10 +253,10 @@ def _validate_brute(kb: KnowledgeBase, spec: LogicSpec) -> LogicValidation:
         checked += 1
         failure = _partition_failure(kb, spec, p)
         if failure:
-            return LogicValidation(spec.name, "invalid", checked, True,
+            return LogicValidation(spec.name, "invalid", checked,
                                    (p.positive.bits, p.negative.bits),
                                    universe=kb.universe, **failure)
-    return LogicValidation(spec.name, "valid", checked, True, covers=(3, kb.universe.size))
+    return LogicValidation(spec.name, "valid", checked, covers=(3, kb.universe.size))
 
 
 _BELNAP_FROM_ARGUMENTS = {

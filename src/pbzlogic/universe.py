@@ -103,10 +103,6 @@ class ObjectSet(FrozenRecord):
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def isdisjoint(self, other: "ObjectSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self.universe and bool(
             self.bits >> self.universe.index(name) & 1

@@ -55,10 +55,6 @@ class TruthValue(Enum):
     def symbol(self) -> str:
         return self.value
 
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "TruthValue":
-        return cls(symbol)
-
     def mirror(self) -> "TruthValue":
         """Swap true-side and false-side values (the A and B bits); U, K,
         fK are self-mirrored."""

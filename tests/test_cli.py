@@ -287,8 +287,6 @@ VERIFY_GOLDENS = [
     ("verify_sizes_1-5.txt", ["--sizes", "1,2,3,4,5"]),
     *[(f"verify_sizes_3_mutate_{m}.txt", ["--sizes", "3", "--mutate", m])
       for m in MUTATION_NAMES],
-    *[(f"verify_sizes_3_mutate_{m}_budget_20.txt",
-       ["--sizes", "3", "--mutate", m, "--budget", "20"]) for m in MUTATION_NAMES],
     ("verify_sizes_3_mutate_pawlak-upper-on-both.json",
      ["--sizes", "3", "--mutate", "pawlak-upper-on-both", "--format", "json"]),
 ]
@@ -476,12 +474,19 @@ def test_verify_sixteen_row_table_is_certified(capsys, tmp_path):
     assert out == f"table {path}: PBZ-certified\n"
 
 
-def test_verify_table_too_large_for_the_budget(capsys, tmp_path):
-    path = _table(tmp_path, 16, 5)
-    code, out, err = run(capsys, "verify", "--input", str(path), "--budget", "10")
+def test_verify_decides_the_largest_case_space_exactly(capsys, tmp_path):
+    # a binary axiom under drop-disjointness on a 16-row block: every
+    # nonempty set of at most 16 of its 4^2 types, the most cases any
+    # axiom has, all evaluated with no budget to cut them short
+    path = _table(tmp_path, 16, 1)
+    code, out, err = run(capsys, "verify", "--input", str(path), "--format", "json",
+                         "--mutate", "drop-disjointness")
     assert (code, err) == (2, "")
-    assert f"table {path}: FAILED\n" in out
-    assert "  distributivity: undecided (cases checked: 10)\n" in out
+    [run_] = json.loads(out)["runs"]
+    assert {a["status"] for a in run_["axioms"]} == {"holds", "counterexample"}
+    [a2] = [a for a in run_["axioms"] if a["axiom"] == "A2"]
+    assert a2 == {"axiom": "A2", "status": "holds", "cases_checked": 2**16 - 1,
+                  "exhaustive": True, "covers": {"base": 4, "exponent": 16 * 2}}
 
 
 def test_verify_json_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
@@ -602,34 +607,19 @@ def test_verify_mutation_fails(capsys):
     assert "counterexample" in out
 
 
-@pytest.mark.parametrize(
-    "argv, budget",
-    [
-        (["verify", "--sizes", "2", "--budget", "0"], 0),
-        (["verify", "--sizes", "2", "--budget", "-3"], -3),
-        (["verify", "--sizes", "2", "--mutate", "kleene-identity", "--budget", "0"], 0),
-        # the reports are streamed, but no byte is written before the first verdict
-        (["verify", "--sizes", "2", "--budget", "0", "--format", "json"], 0),
-        (["verify", "--input", str(DEMO_CSV), "--budget", "0", "--format", "json"], 0),
-    ],
-    ids=["verify-zero", "verify-negative", "mutation", "verify-json", "verify-table-json"],
-)
-def test_budget_below_one_is_a_data_error(capsys, argv, budget):
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (
-        1, "", f"error: the budget must be at least 1, got {budget}\n"
-    )
-
-
-def test_validate_logic_takes_no_budget(capsys):
-    # a logic verdict is always exact: the option is a usage error
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sizes", "3"],
+    ["validate-logic", "--logic", "belnap", "--size", "3"],
+], ids=["verify", "validate-logic"])
+def test_takes_no_budget(capsys, argv):
+    # every verdict of both commands is exact: the option is a usage error
     with pytest.raises(SystemExit) as exc:
-        main(["validate-logic", "--logic", "belnap", "--size", "3", "--budget", "1"])
+        main([*argv, "--budget", "1"])
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (1, "")
     assert "error: unrecognized arguments: --budget 1\n" in err
     with pytest.raises(SystemExit):
-        main(["validate-logic", "--help"])
+        main([argv[0], "--help"])
     assert "--budget" not in capsys.readouterr().out
 
 
@@ -637,7 +627,7 @@ def test_validate_logic_takes_no_budget(capsys):
     "argv",
     [
         ["verify", "--sizes", "1,2,3"],
-        ["verify", "--sizes", "3", "--mutate", "kleene-identity", "--budget", "40"],
+        ["verify", "--sizes", "3", "--mutate", "kleene-identity"],
         ["verify", "--input", str(DEMO_CSV), "--mutate", "pawlak-upper-on-both"],
         ["validate-logic", "--logic", "triage", "--size", "3"],
         ["validate-logic", "--logic", "GAPPY", "--size", "3"],
@@ -658,14 +648,14 @@ def test_streamed_json_is_what_json_dumps_writes(capsys, tmp_path, argv):
     assert ('"witness": ' in out) == (code == 2)
 
 
-@pytest.mark.parametrize("argv", [[], ["--mutate", "pawlak-upper-on-both", "--budget", "20"]],
+@pytest.mark.parametrize("argv", [[], ["--mutate", "pawlak-upper-on-both"]],
                          ids=["standard", "mutation"])
 def test_verify_sweep_json_lists_each_report(capsys, argv):
     code, out, _ = run(capsys, "verify", "--sizes", "1,2,3", "--format", "json", *argv)
     runs = json.loads(out)["runs"]
     expected = [
         (f"size {size} partition {i}",
-         run_mutation(kb, argv[1], budget=20) if argv else check_all(kb))
+         run_mutation(kb, argv[1]) if argv else check_all(kb))
         for size in (1, 2, 3)
         for i, kb in enumerate(all_knowledge_bases(default_universe(size)))
     ]
@@ -680,7 +670,7 @@ def test_verify_budget_imports_no_numpy():
     script = (
         "import sys\n"
         "from pbzlogic.cli import main\n"
-        "code = main(['verify', '--sizes', '3', '--budget', '1'])\n"
+        "code = main(['verify', '--sizes', '3'])\n"
         "sys.stderr.write(f'exit {code} numpy {\"numpy\" in sys.modules}')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pbzlogic.__file__).parents[1])}
@@ -688,7 +678,7 @@ def test_verify_budget_imports_no_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
         timeout=60,
     )
-    assert done.stderr == "exit 2 numpy False"
+    assert done.stderr == "exit 0 numpy False"
 
 
 def _fresh_python(script: str) -> subprocess.CompletedProcess:
@@ -964,7 +954,7 @@ def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
     "argv, code",
     [
         (["verify", "--sizes", "1,2,3,4"], 0),
-        (["verify", "--sizes", "4", "--mutate", "pawlak-upper-on-both", "--budget", "20"], 2),
+        (["verify", "--sizes", "4", "--mutate", "pawlak-upper-on-both"], 2),
         (["validate-logic", "--logic", "triage", "--size", "4"], 0),
         (["validate-logic", "--logic", "GAPPY", "--size", "4"], 2),
         (["validate-logic", "--logic", "GAPPY", "--input", str(DEMO_CSV)], 2),
@@ -1073,7 +1063,7 @@ def test_term_evaluation_leaves_the_axiom_engine_unloaded():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+        (["verify", "--budget", "x"], "unrecognized arguments: --budget x"),
         (["validate-logic", "--logic", "belnap", "--size", "abc"],
          "argument --size: invalid int value: 'abc'"),
         (["classify"], "the following arguments are required: --input"),
@@ -1096,17 +1086,6 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: pbzlogic")
-
-
-def test_verify_tiny_budget_is_not_certified(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--sizes", "3", "--budget", "10", "--format", "json"
-    )
-    assert code == 2
-    payload = json.loads(out)
-    statuses = {r["status"] for run_ in payload["runs"] for r in run_["axioms"]}
-    assert "undecided" in statuses
-    assert "counterexample" not in statuses
 
 
 def test_validate_logic_builtin(capsys):

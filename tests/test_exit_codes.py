@@ -67,10 +67,6 @@ def commands(draw, path: str) -> list[str]:
         if command == "classify":
             logics.append("seven")
         argv += ["--logic", draw(st.sampled_from(logics))]
-    if command == "verify":
-        # the first branch makes budgets below 1 common
-        budget = draw(st.one_of(st.integers(-2, 1), st.integers(-2, 600)))
-        argv += ["--budget", str(budget)]
     if draw(st.booleans()):  # a repeated option: the last value wins
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     event("exact parser" if parse_exact(argv) else "argparse")

@@ -75,7 +75,7 @@ def test_the_exact_parser_agrees_with_argparse(argv):
     ["classify", "--input", "t.csv"],
     ["classify", "--input", "t.csv", "--logic", "triage", "--format", "json",
      "--attributes", "", "--decision-column", "d"],
-    ["verify", "--sizes", "3,4", "--budget", "20", "--mutate", "kleene-identity"],
+    ["verify", "--sizes", "3,4", "--mutate", "kleene-identity"],
     ["verify", "--input", "t.csv", "--format", "json", "--format", "text"],
     ["validate-logic", "--logic", "belnap", "--size", "3"],
     ["list-logics"],
@@ -90,7 +90,7 @@ def test_well_formed_commands_take_the_exact_route(argv):
 @pytest.mark.parametrize("argv", [
     ["classify", "--input", "t.csv", "--format=json"],
     ["classify", "--input", "t.csv", "--form", "json"],
-    ["verify", "--budget", "-3"],
+    ["validate-logic", "--logic", "belnap", "--size", "-3"],
     ["verify", "--", "--sizes", "2"],
     ["classify", "--input", "t.csv", "--help"],
 ], ids=["equals", "abbreviation", "negative-value", "double-dash", "help"])
@@ -102,5 +102,5 @@ def test_the_help_hides_the_mutations(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     out = capsys.readouterr().out
-    assert "--budget BUDGET" in out
+    assert "--sizes SIZES" in out
     assert "--mutate" not in out

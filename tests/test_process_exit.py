@@ -29,6 +29,9 @@ COMMANDS = {
     "validate-logic": ["validate-logic", "--logic", "triage", "--input", DEMO],
     "list-logics": ["list-logics"],
 }
+# The help: argparse's own `print_help` swallows a failed write, and
+# writes to stderr when stdout is closed.
+HELPS = {"help": ["--help"], "verify-help": ["verify", "--help"]}
 
 
 def in_process(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -107,21 +110,24 @@ def test_a_large_report_loses_no_byte(capsys, tmp_path, large_table, sink, unbuf
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), *HELPS])
 def test_a_full_device_exits_1_with_one_line(command, unbuffered):
-    """Buffered, the write error comes from `main`'s flush, and the flush
-    in `run` fails again on the bytes still held: it prints nothing more."""
+    """Buffered, the write error comes from `main`'s flush, or the help's,
+    and the flush in `run` fails again on the bytes still held: it prints
+    nothing more."""
+    argv = {**COMMANDS, **HELPS}[command]
     with open("/dev/full", "wb") as full:
-        done = launched(COMMANDS[command], unbuffered, stdout=full, stderr=subprocess.PIPE)
+        done = launched(argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
     assert (done.returncode, done.stderr) == (1, b"error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("close_stderr", [False, True])
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), *HELPS])
 def test_a_closed_stdout_exits_1_with_one_line(command, close_stderr):
     """Started with fd 1 closed, as `... >&-`, where `sys.stdout` is None:
     one error line, or none with fd 2 closed as well, and exit 1."""
-    line = f"{shlex.join([*MODULE, *COMMANDS[command]])} >&-{' 2>&-' * close_stderr}"
+    argv = {**COMMANDS, **HELPS}[command]
+    line = f"{shlex.join([*MODULE, *argv])} >&-{' 2>&-' * close_stderr}"
     done = subprocess.run(["/bin/sh", "-c", line], capture_output=True, env=environment(),
                           timeout=60)
     assert (done.returncode, done.stdout) == (1, b"")

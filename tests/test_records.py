@@ -85,10 +85,10 @@ RECORDS = {
     }),
     "AxiomReport": (AxiomReport, {
         "axiom": "K1", "status": "counterexample", "cases_checked": 3,
-        "exhaustive": False, "witness": ((1, 2),), "universe": U, "covers": None,
+        "witness": ((1, 2),), "universe": U, "covers": None,
     }),
     "LogicValidation": (LogicValidation, {
-        "logic": "triage", "status": "invalid", "checked": 5, "exhaustive": True,
+        "logic": "triage", "status": "invalid", "checked": 5,
         "witness": (AB.bits, C.bits), "overlap": ("a", "b", AB.bits), "uncovered": C.bits,
         "universe": U, "covers": None,
     }),
@@ -123,7 +123,7 @@ def test_defaults_are_unchanged():
     )
     assert ValueDef("t", ("T",)).down == ()
     assert ValueDef("f", down=("F",)).up == ()
-    short = LogicValidation("triage", "valid", 27, True)
+    short = LogicValidation("triage", "valid", 27)
     assert (short.witness, short.overlap, short.uncovered, short.covers) == (None,) * 4
 
 
@@ -187,8 +187,8 @@ def test_reprs_are_unchanged():
     assert repr(SevenPartition({TruthValue.TRUE: C})) == (
         "SevenPartition(parts={<TruthValue.TRUE: 'T'>: {c}})"
     )
-    assert repr(LogicValidation("triage", "valid", 27, True)) == (
-        "LogicValidation(logic='triage', status='valid', checked=27, exhaustive=True,"
+    assert repr(LogicValidation("triage", "valid", 27)) == (
+        "LogicValidation(logic='triage', status='valid', checked=27,"
         " witness=None, overlap=None, uncovered=None, universe=None, covers=None)"
     )
     assert repr(TableConfig(decision_column="d")).startswith(
