@@ -15,11 +15,11 @@ engines reach a verdict:
   passes a table or a set partition of its sweep to `check_blocks`, so
   `verify` loads neither the mask layer nor the brute engine;
 * the brute engine (`brute._check_brute`) enumerates every tuple of
-  orthopairs while the tuple count, 3^(|U| * arity), fits in its budget
-  and samples otherwise, one uniform state per object and variable; a
-  sampled run that finds no violation is reported as undecided, never as
-  a pass.  It runs for caller-supplied operators or elements, and in the
-  tests as the oracle of the reduced engine.  The knowledge-base API
+  orthopairs, or of the caller's elements, and refuses with a ValueError
+  a request of more than `brute.MAX_TUPLES` tuples (3^(|U| * arity) for
+  the orthopairs), so its verdict too is `holds` or `counterexample`.  It
+  runs for caller-supplied operators or elements, and in the tests as the
+  oracle of the reduced engine.  The knowledge-base API
   (`brute.check_axiom`, `check_all`, `run_mutation`) lives beside it and
   reads a partition off a KnowledgeBase (`KnowledgeBase.partition`) for
   this module.
@@ -147,14 +147,13 @@ AXIOMS: dict[str, Axiom] = {axiom.ident: axiom for axiom in _AXIOM_LIST}
 
 class AxiomReport(NamedTuple):
     axiom: str
-    # "holds" | "counterexample", or "undecided" from a brute-engine sample
-    status: str
+    status: str  # "holds" | "counterexample"
     cases_checked: int
     witness: tuple[Pair, ...] | None
     # Its `objects` name a witness's objects: the partition checked, or kb's
     # universe under the brute engine.
     universe: Partition | Universe
-    # An exact hold's (base, exponent): it covers base^exponent tuples.
+    # A hold's (base, exponent): it covers base^exponent tuples.
     covers: tuple[int, int] | None = None
 
     def witness_names(self) -> list[dict[str, list[str]]] | None:
@@ -280,7 +279,7 @@ def check_blocks(partition: Partition, mutation: str | None = None) -> list[Axio
 
 
 def certified(reports: Sequence[AxiomReport]) -> bool:
-    """True only when every axiom holds: an exact verdict."""
+    """True when every axiom holds; every verdict is exact."""
     return all(r.status == "holds" for r in reports)
 
 

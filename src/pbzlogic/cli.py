@@ -408,12 +408,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except (OSError, ValueError) as exc:  # DataError is a ValueError
-        if isinstance(exc, BrokenPipeError):
-            # The reader of stdout is gone: point it at /dev/null, so that
-            # the flush at exit cannot fail too.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if sys.stderr is not None:
             sys.stderr.write(f"error: {exc}\n")
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                # stdout cannot take its bytes (its reader is gone, or its
+                # device is full): point it at /dev/null, so that the flush
+                # at exit cannot fail too.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_DATA_ERROR
 
 
@@ -428,9 +432,8 @@ def run() -> NoReturn:
             try:
                 stream.flush()
             except OSError:
-                # `main` flushes stdout before it returns 0 or 2, so this is
-                # a failed command whose error `main` reported, returning 1;
-                # a full device, say, keeps the bytes it refused.
+                # `main` has flushed stdout, or pointed it at /dev/null, so
+                # this is stderr, on a full device, say: its code stands.
                 pass
     os._exit(code)
 

@@ -219,16 +219,6 @@ def test_drop_disjointness_has_no_mutated_operators(kb3):
         mutated_ops(kb3, "drop-disjointness")
 
 
-def test_a_budget_below_one_is_a_value_error(kb3):
-    # in either engine, though only the brute engine reads it
-    for budget in (0, -3):
-        for check in (lambda: check_axiom(kb3, "K1", budget=budget),
-                      lambda: check_all(kb3, budget=budget),
-                      lambda: check_all(kb3, budget=budget, ops=standard_ops(kb3))):
-            with pytest.raises(ValueError, match=f"at least 1, got {budget}"):
-                check()
-
-
 # --- reduced engine against the brute engine ---------------------------------
 
 CONFIGS = (None, *MUTATIONS)
@@ -246,8 +236,8 @@ def _brute_reports(kb, mutation, idents):
 @pytest.mark.parametrize("mutation", CONFIGS, ids=lambda m: m or "standard")
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_reduced_engine_matches_brute_engine(size, mutation):
-    # At size 4 the brute distributivity check costs 81^3 (or a 256^3
-    # sample) per knowledge base; the allowed difference is pinned below.
+    # At size 4 the brute distributivity check costs 81^3 (or, past its
+    # limit, 256^3) per knowledge base; the allowed difference is pinned below.
     idents = [i for i in AXIOMS if size < 4 or i != "distributivity"]
     for kb in all_knowledge_bases(default_universe(size)):
         reduced = check_all(kb) if mutation is None else run_mutation(kb, mutation)
@@ -266,17 +256,16 @@ def test_reduced_engine_matches_brute_engine(size, mutation):
 
 
 def test_reduced_engine_decides_overlapping_distributivity():
-    # The one allowed difference: over 4^4 overlapping pairs the brute engine
-    # can only sample distributivity, which the reduced engine decides.
+    # The one allowed difference: over 4^4 overlapping pairs distributivity
+    # is past the brute engine's limit, and the reduced engine decides it.
     kb = next(all_knowledge_bases(default_universe(4)))
     reduced = next(r for r in run_mutation(kb, "drop-disjointness")
                    if r.axiom == "distributivity")
     assert reduced.status == "holds"
     assert (reduced.cases_checked, reduced.covers) == (4**3, (4, 4 * 3))  # 256^3 triples
     elements = list(_all_pairs_including_overlapping(4))
-    brute = check_axiom(kb, "distributivity", budget=10_000,
-                        ops=standard_ops(kb), elements=elements)
-    assert brute.status == "undecided"
+    with pytest.raises(ValueError, match=r"256\^3 tuples"):
+        check_axiom(kb, "distributivity", ops=standard_ops(kb), elements=elements)
 
 
 def test_pointwise_axioms_never_apply_the_approximation():
@@ -312,33 +301,43 @@ def _skewed_kb(size, blocks):
     "axiom_id, reduced_cases",
     [("K3", 3**2), ("distributivity", 3**3), ("A1", 3 + 3 + 1), ("A2", 2**9 - 1)],
 )
-def test_budget_counts_reduced_cases(axiom_id, reduced_cases):
-    # the budget bounds the brute engine only: the reduced engine evaluates
-    # every one of its cases under the smallest budget
+def test_reduced_case_counts_on_a_block_of_nine(axiom_id, reduced_cases):
     kb = _skewed_kb(10, blocks=2)  # largest block: 9 objects
     arity = AXIOMS[axiom_id].arity
-    exact = check_axiom(kb, axiom_id, budget=1)
+    exact = check_axiom(kb, axiom_id)
     assert exact.status == "holds"
     assert (exact.cases_checked, exact.covers) == (reduced_cases, (3, 10 * arity))
 
 
 def test_brute_engine_builds_nothing_exponential_in_the_universe():
     # standard_ops computes lower approximations on demand, and the brute
-    # engine counts and samples the 3^40 orthopairs without listing them
+    # engine counts the 3^40 orthopairs and refuses them without listing them
     start = time.perf_counter()
     ops = standard_ops(_skewed_kb(64, blocks=8))  # a block of 57 and 7 singletons
     assert ops.upper(1) == (1 << 57) - 1
     assert ops.pawlak((1, 1 << 63)) == (0, 1 << 63)
     kb40 = _skewed_kb(40, blocks=4)
-    report = check_axiom(kb40, "K1", ops=standard_ops(kb40), budget=10)
-    assert (report.status, report.cases_checked) == ("undecided", 10)
+    with pytest.raises(ValueError, match=r"3\^40 tuples"):
+        check_axiom(kb40, "K1", ops=standard_ops(kb40))
     assert time.perf_counter() - start < 1.0
-    # a sample that violates the axiom is a counterexample with that witness
-    ops = mutated_ops(kb40, "kleene-identity")
-    report = check_axiom(kb40, "K2", ops=ops, budget=10)
-    assert report.status == "counterexample"
-    assert not AXIOMS["K2"].predicate(ops, *report.witness)
-    assert all(pos & neg == 0 and (pos | neg) < 1 << 40 for pos, neg in report.witness)
+
+
+def test_the_brute_engine_enumerates_up_to_its_limit():
+    # 1,414^2 = 1,999,396 tuples are enumerated: K2 under kleene-identity
+    # fails at the first pair of distinct elements, the second tuple.
+    # 1,415^2 = 2,002,225 are refused before any operator is applied.
+    kb = _skewed_kb(7, blocks=1)
+    elements = list(itertools.islice(all_orthopair_masks(7), 1_415))
+    ops = mutated_ops(kb, "kleene-identity")
+    report = check_axiom(kb, "K2", ops=ops, elements=elements[:1_414])
+    assert (report.status, report.cases_checked) == ("counterexample", 2)
+    assert report.witness == tuple(elements[:2])
+
+    def refuse(p, q):
+        raise AssertionError("a tuple evaluated")
+
+    with pytest.raises(ValueError, match=r"1415\^2 tuples.* limit of 2,000,000"):
+        check_axiom(kb, "K2", ops=ops._replace(join=refuse, meet=refuse), elements=elements)
 
 
 def test_sixteen_objects_certify_without_enumeration(monkeypatch):

@@ -666,7 +666,7 @@ def test_verify_sweep_json_lists_each_report(capsys, argv):
     assert code == (0 if all(r["certified"] for r in runs) else 2)
 
 
-def test_verify_budget_imports_no_numpy():
+def test_verify_imports_no_numpy():
     script = (
         "import sys\n"
         "from pbzlogic.cli import main\n"

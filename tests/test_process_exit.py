@@ -121,6 +121,19 @@ def test_a_full_device_exits_1_with_one_line(command, unbuffered):
     assert (done.returncode, done.stderr) == (1, b"error: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_in_process_main_on_a_full_device_exits_1_with_one_line(unbuffered):
+    """`main` called by a library, which ends the usual way: `main` points
+    a stdout that cannot take its bytes at /dev/null, so the flush at exit
+    does not fail on the bytes that the full device refused."""
+    script = "import sys; from pbzlogic.cli import main; sys.exit(main(['list-logics']))"
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-c", script], stdout=full,
+                              stderr=subprocess.PIPE, env=environment(unbuffered), timeout=60)
+    assert (done.returncode, done.stderr) == (1, b"error: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("close_stderr", [False, True])
 @pytest.mark.parametrize("command", [*sorted(COMMANDS), *HELPS])
 def test_a_closed_stdout_exits_1_with_one_line(command, close_stderr):
