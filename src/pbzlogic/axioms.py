@@ -178,12 +178,6 @@ class AxiomReport(NamedTuple):
         return out
 
 
-def _largest_block(partition: Partition) -> list[int]:
-    """The rows of the first largest block: where a counterexample goes."""
-    sizes = partition.block_sizes
-    return partition.rows(sizes.index(max(sizes)))
-
-
 # --- reduced engine (module docstring, steps 1-4) ------------------------------
 
 # A variable's state at one object: its `regions.POSITIVE` and `NEGATIVE`
@@ -244,20 +238,23 @@ def _reduced_verdict(
 
 
 def _check_builtin(axiom: Axiom, mutation: str | None,
-                   members: Sequence[int], partition: Partition) -> AxiomReport:
+                   largest: int, partition: Partition) -> AxiomReport:
     """Check the operators pbzlogic builds, standard or a named mutation, on
-    a partition whose first largest block holds the objects at `members`.
+    a partition whose largest block holds `largest` objects.
 
-    Every verdict counts the reduced cases it evaluated, up to the first
-    failure, and a hold covers the states^(|U| * arity) tuples of
-    orthopairs.
+    The verdict reads only that size.  A counterexample alone reads the
+    rows of the first largest block (`Partition.rows`, a scan of every
+    object), to lift its failing type set onto them.  Every verdict counts
+    the reduced cases it evaluated, up to the first failure, and a hold
+    covers the states^(|U| * arity) tuples of orthopairs.
     """
     states = _state_count(mutation)
-    cap = 1 if axiom.pointwise else min(len(members), states**axiom.arity)
+    cap = 1 if axiom.pointwise else min(largest, states**axiom.arity)
     checked, failure = _reduced_verdict(axiom.ident, mutation, cap)
     if failure is not None:
+        rows = partition.rows(partition.block_sizes.index(largest))
         return AxiomReport(axiom.ident, "counterexample", checked,
-                           partition.lift(members, failure), partition)
+                           partition.lift(rows, failure), partition)
     return AxiomReport(axiom.ident, "holds", checked, None, partition,
                        (states, len(partition.objects) * axiom.arity))
 
@@ -268,14 +265,16 @@ def check_blocks(partition: Partition, mutation: str | None = None) -> list[Axio
     `verify` runs on each table or set partition, and `brute.check_all`
     and `brute.run_mutation` on `KnowledgeBase.partition()`.
 
-    By the module docstring the verdicts depend only on the largest block,
-    and the first largest block places a counterexample; the partition's
-    `objects` name it.  An unknown mutation is a ValueError.
+    By the module docstring the verdicts depend only on the size of the
+    largest block, read once from `block_sizes`; the first largest block
+    places a counterexample, and the partition's `objects` name it.  Only a
+    counterexample reads the block ids.  An unknown mutation is a
+    ValueError.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    members = _largest_block(partition)
-    return [_check_builtin(axiom, mutation, members, partition) for axiom in _AXIOM_LIST]
+    largest = max(partition.block_sizes)
+    return [_check_builtin(axiom, mutation, largest, partition) for axiom in _AXIOM_LIST]
 
 
 def certified(reports: Sequence[AxiomReport]) -> bool:

@@ -21,7 +21,6 @@ from .axioms import (
     Axiom,
     AxiomReport,
     _check_builtin,
-    _largest_block,
     _mutate,
     check_blocks,
 )
@@ -53,7 +52,7 @@ def check_axiom(
         raise ValueError(f"unknown axiom {axiom_id!r}") from None
     if ops is None and elements is None:
         partition = kb.partition()
-        return _check_builtin(axiom, None, _largest_block(partition), partition)
+        return _check_builtin(axiom, None, max(partition.block_sizes), partition)
     if ops is None:
         ops = standard_ops(kb)
     return _check_brute(kb, axiom, ops, elements)

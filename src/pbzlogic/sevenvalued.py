@@ -14,17 +14,14 @@ evaluating a lattice operator term; the three must agree.  They are the
 paper's cross-checks, and no command runs them: `classify` takes each
 block's value from the flag its table ingest ORs together, through
 `values` alone.
-
-The mask layer (`universe`, `orthopair`) is never imported at module
-level, so that importing the values from here loads none of it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ._record import FrozenRecord
+from .orthopair import Orthopair, eval_term
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
+from .universe import KnowledgeBase, ObjectSet, UniverseMismatchError
 from .values import (  # the values; these names stay importable from here
     BY_FLAG,
     DOWNWARD_MEMBERS,
@@ -32,10 +29,6 @@ from .values import (  # the values; these names stay importable from here
     TruthValue,
     truth_leq,
 )
-
-if TYPE_CHECKING:
-    from .orthopair import Orthopair
-    from .universe import KnowledgeBase, ObjectSet
 
 _V = TruthValue
 
@@ -79,8 +72,6 @@ DOWNWARD_TERMS: dict[TruthValue, str] = {
 
 def _check(kb: KnowledgeBase, p: Orthopair) -> None:
     if kb.universe != p.universe:
-        from .universe import UniverseMismatchError
-
         raise UniverseMismatchError("orthopair over a different universe than the knowledge base")
 
 
@@ -137,26 +128,15 @@ def _aggregate(
     """The objects of p whose base value is in the member mask `members[v]`,
     by one formulation: the blocks whose flag is in the mask (classwise),
     `closed_form` (approximation) or the lattice term `terms[v]`.
-
-    `ObjectSet` is p's own class and `eval_term` is bound on its first use,
-    so that no call runs an import statement.
     """
     _check(kb, p)
     if formulation == "classwise":
-        return type(p.positive)(kb.universe, _classwise_mask(kb, p, members[v]))
+        return ObjectSet(kb.universe, _classwise_mask(kb, p, members[v]))
     if formulation == "approximation":
         return closed_form(kb, p, v)
     if formulation == "lattice":
-        return _eval_term(kb, p, terms[v]).positive
+        return eval_term(kb, p, terms[v]).positive
     raise ValueError(f"unknown formulation {formulation!r}")
-
-
-def _eval_term(kb: KnowledgeBase, p: Orthopair, term: str) -> Orthopair:
-    """`orthopair.eval_term`, which replaces this function on its first call."""
-    global _eval_term
-    from .orthopair import eval_term as _eval_term
-
-    return _eval_term(kb, p, term)
 
 
 def part(

@@ -4,7 +4,11 @@
 `verify` checks, `write_results` the verdict of each one that
 `validate-logic` checks, as text or as JSON: the JSON is what
 `json.dumps(report, indent=2, sort_keys=True)` of the whole report would
-write.  Only those two commands load this module.
+write.  Each writer reads one run or result at a time from its iterator
+and writes its text as it renders it, so it never holds more than one
+run's text, nor more than one witness.  Nothing is written before the
+first run or result is decided, so an error there leaves the output empty.
+Only those two commands load this module.
 """
 
 from __future__ import annotations
@@ -33,68 +37,65 @@ def write_results(results: Iterator[LogicValidation], fmt: str, out: TextIO) -> 
     (_write_results_json if fmt == "json" else _write_results_text)(results, out)
 
 
-def _write_json_list(key: str, entries: Iterator[str], out: TextIO) -> None:
-    """Write the report `{key: [...], "schema_version": SCHEMA_VERSION}` as
-    `json.dumps` would, `key` sorting first, from entries rendered at
-    depth 2, each as soon as it is made.  The first entry is made before
-    anything is written, so that an error in it leaves the output empty;
-    there is always one."""
-    first = next(entries)
-    out.write(f'{{\n  {encode_basestring_ascii(key)}: [\n{first}')
-    for entry in entries:
-        out.write(",\n" + entry)
-    out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
-
-
 def _write_runs_text(runs: Iterator[Run], out: TextIO) -> None:
     """A verdict line per knowledge base, then each axiom that does not
-    hold, with its cases and witness."""
+    hold, with its cases and witness, each line written once it is made."""
     for label, ok, reports in runs:
-        lines = [f"{label}: {'PBZ-certified' if ok else 'FAILED'}\n"]
+        out.write(f"{label}: {'PBZ-certified' if ok else 'FAILED'}\n")
         for r in reports:
             if r.status != "holds":
                 witness = r.witness_names()
-                lines.append(
+                out.write(
                     f"  {r.axiom}: {r.status} (cases checked: {r.cases_checked})"
                     + ("" if witness is None else f" witness: {witness}") + "\n"
                 )
-        out.write("".join(lines))
 
 
 def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
-    """The `verify` report, `{"runs": [...], "schema_version": 2}`: each run
-    is written when it is checked.  A sweep repeats the same few entries
-    without a witness in every run, so each of those is rendered once."""
+    """The `verify` report, `{"runs": [...], "schema_version": 2}`.
+
+    A run's text is held until it ends, and written with one join, or up
+    to each entry with a witness, which lists every object: so no two
+    witnesses are ever held at once.  A sweep repeats the same few entries
+    without a witness in every run, so each of those is rendered once.
+    """
     from .jsontext import dumps  # here and below, so that text output never loads it
 
-    escape = encode_basestring_ascii
     rendered: dict[tuple, str] = {}  # entries without a witness, by their fields
-
-    def axiom(r: AxiomReport) -> str:
-        if r.witness is not None:
-            return "        " + dumps(r.to_dict(), "        ")
-        key = (*r[:3], r.covers)  # covers tells the holds of each |U| apart
-        entry = rendered.get(key)
-        if entry is None:
-            entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
-        return entry
-
-    _write_json_list("runs", (
-        '    {\n      "axioms": [\n' + ",\n".join(map(axiom, reports))
-        + f'\n      ],\n      "certified": {"true" if ok else "false"},'
-        f'\n      "kb": {escape(label)}\n    }}'
-        for label, ok, reports in runs
-    ), out)
+    text = ['{\n  "runs": [\n']  # written with the first run, once it is checked
+    for label, ok, reports in runs:
+        text.append('    {\n      "axioms": [\n')
+        sep = ""
+        for r in reports:
+            text.append(sep)
+            sep = ",\n"
+            if r.witness is None:
+                key = (*r[:3], r.covers)  # covers tells the holds of each |U| apart
+                entry = rendered.get(key)
+                if entry is None:
+                    entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
+                text.append(entry)
+            else:
+                text.append("        " + dumps(r.to_dict(), "        "))
+                out.write("".join(text))
+                text.clear()
+        text.append(f'\n      ],\n      "certified": {"true" if ok else "false"},'
+                    f'\n      "kb": {encode_basestring_ascii(label)}\n    }}')
+        out.write("".join(text))
+        text = [",\n"]
+    out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None:
     """The `validate-logic` report, `{"results": [...], "schema_version": 2}`,
-    each result written when it is decided."""
+    each result written once it is decided."""
     from .jsontext import dumps
 
-    _write_json_list(
-        "results", ("    " + dumps(result.to_dict(), "    ") for result in results), out
-    )
+    sep = '{\n  "results": [\n'  # written with the first result
+    for result in results:
+        out.write(sep + "    " + dumps(result.to_dict(), "    "))
+        sep = ",\n"
+    out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:

@@ -17,7 +17,7 @@ from pbzlogic import (
 )
 from pbzlogic import axioms, brute
 from pbzlogic.brute import mutated_ops, standard_ops
-from pbzlogic.sweep import all_orthopair_masks
+from pbzlogic.sweep import all_orthopair_masks, all_partitions
 from pbzlogic.table import Partition
 
 
@@ -213,6 +213,19 @@ def test_unknown_mutation_rejected(kb3):
         run_mutation(kb3, "nope")
 
 
+def test_mutated_ops_rejects_an_unknown_mutation(kb3):
+    with pytest.raises(ValueError, match="unknown mutation 'nope'"):
+        mutated_ops(kb3, "nope")
+
+
+def test_elements_alone_are_checked_under_the_standard_operators(kb3):
+    # given elements and no operators, the brute engine takes kb's standard ones
+    elements = [(0, 0b111), (0b001, 0b110), (0b011, 0), (0b111, 0)]
+    report = check_axiom(kb3, "K2", elements=elements)
+    assert (report.status, report.cases_checked, report.covers) == ("holds", 16, (4, 2))
+    assert report == check_axiom(kb3, "K2", ops=standard_ops(kb3), elements=elements)
+
+
 def test_drop_disjointness_has_no_mutated_operators(kb3):
     # it changes the elements: the standard operators on overlapping pairs
     with pytest.raises(ValueError, match="changes the elements, not the operators"):
@@ -369,6 +382,19 @@ def test_a_witness_is_bottom_off_the_largest_block(mutation):
                     assert (pos & outside, neg & outside) == (0, outside)
                     if mutation != "drop-disjointness":
                         assert pos & neg == 0
+
+
+class _PartitionWithoutRows(Partition):
+    def rows(self, block):
+        raise AssertionError(f"read the rows of block {block}")
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_a_passing_check_reads_only_the_block_sizes(size):
+    # a hold needs the largest block's size alone: the rows of its block,
+    # a scan of every object, are read only to place a counterexample
+    for partition in all_partitions(size):
+        assert certified(axioms.check_blocks(_PartitionWithoutRows(*partition)))
 
 
 def test_a_lift_onto_a_large_block_takes_linear_time():

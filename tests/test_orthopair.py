@@ -49,6 +49,11 @@ def test_meet_examples(u3):
     assert meet(p, q) == Orthopair.from_names(u3, ["o1"], ["o2"])
 
 
+def test_meet_rejects_orthopairs_over_two_universes(u3):
+    with pytest.raises(UniverseMismatchError, match="different universes"):
+        meet(top(u3), top(Universe.of("o1", "o2")))
+
+
 def test_join_examples():
     u = Universe.of("o1", "o2", "o3", "o4")
     p = Orthopair.from_names(u, ["o1"], ["o2"])

@@ -11,9 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbzlogic import LogicSpec, builtin_logic, builtin_logics, report as report_module
+from pbzlogic import verdicts
+from pbzlogic.axioms import certified, check_blocks
 from pbzlogic.cli import TableConfig, build_classification_report, load_table, render_json
 from pbzlogic.jsontext import dumps
 from pbzlogic.report import render_classification_text
+from pbzlogic.table import Partition
 
 # Ids and labels the encoder has to escape; "\x00" is left out because
 # csv.reader rejects it before Python 3.11.
@@ -127,3 +130,31 @@ def test_json_writer_equals_json_dumps(value, report):
         assert written(render_json, report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+class _Writes:
+    """A stream that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_a_failing_run_is_written_up_to_each_witness():
+    # a witness lists every object, so the verify writer writes what it
+    # holds after each one; a passing run is joined and written whole
+    bad = check_blocks(Partition(("a", "b", "c"), [0, 0, 1], [2, 1]), "meet-drops-negative")
+    good = check_blocks(Partition(("x", "y"), [0, 1], [1, 1]))
+    out = _Writes()
+    verdicts._write_runs_json(iter([("first", certified(bad), bad), ("second", True, good)]), out)
+    text = "".join(out.writes)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    witnessed = ["        " + dumps(r.to_dict(), "        ") for r in bad if r.witness is not None]
+    assert len(witnessed) > 1
+    for entry in witnessed:
+        assert sum(write.endswith(entry) for write in out.writes) == 1
+    [second] = [write for write in out.writes if '"kb": "second"' in write]
+    assert json.loads(second.removeprefix(",\n")) == json.loads(text)["runs"][1]

@@ -7,6 +7,7 @@ from pbzlogic import (
     Orthopair,
     TruthValue,
     Universe,
+    UniverseMismatchError,
     all_knowledge_bases,
     all_orthopairs,
     block_values,
@@ -59,6 +60,20 @@ def test_six_object_parts_all_formulations(six_kb, six_pair):
             "K": {"o3", "o4"},
             "sF": {"o5", "o6"},
         }
+
+
+def test_counts_name_every_value(six_kb, six_pair):
+    # the README's Library example
+    assert seven_partition(six_kb, six_pair).counts() == {
+        "T": 2, "sT": 0, "U": 0, "K": 2, "fK": 0, "sF": 2, "F": 0,
+    }
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_part_rejects_an_orthopair_over_another_universe(six_kb, formulation):
+    p = Orthopair.from_names(Universe.of("o1", "o2"), ["o1"], [])
+    with pytest.raises(UniverseMismatchError, match="different universe"):
+        part(six_kb, p, V.TRUE, formulation)
 
 
 def test_one_block_kb_is_fully_contradictory():
