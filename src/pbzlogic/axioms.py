@@ -92,9 +92,8 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .regions import NEGATIVE, POSITIVE
-from .table import members_of
-from .terms import LatticeOps, Pair, _function, _ops, _Parser
+from .table import type_pairs
+from .terms import LatticeOps, Pair, _ops, _Parser
 
 if TYPE_CHECKING:
     from .table import Partition
@@ -115,7 +114,7 @@ def _axiom(ident: str, equation: str) -> Axiom:
     variables, and it is pointwise when no word applies L."""
     parser = _Parser(equation, "abc")
     params = "".join(sorted(set(equation) & set("abc")))
-    predicate = _function(params, parser.parse(parser.formula))
+    predicate = parser.parse(parser.formula, params)
     return Axiom(ident, len(params), equation, predicate, "L" not in equation)
 
 
@@ -149,33 +148,12 @@ class AxiomReport(NamedTuple):
     axiom: str
     status: str  # "holds" | "counterexample"
     cases_checked: int
-    witness: tuple[Pair, ...] | None
-    # Its `objects` name a witness's objects: the partition checked, or kb's
-    # universe under the brute engine.
+    witness: tuple[Pair, ...] | None  # a raw mask pair per variable
+    # Its `objects` are those a witness's bits index: the partition checked,
+    # or kb's universe under the brute engine (`verdicts.axiom_entry`).
     universe: Partition | Universe
     # A hold's (base, exponent): it covers base^exponent tuples.
     covers: tuple[int, int] | None = None
-
-    def witness_names(self) -> list[dict[str, list[str]]] | None:
-        if self.witness is None:
-            return None
-        objects = self.universe.objects
-        return [{"positive": members_of(a, objects), "negative": members_of(b, objects)}
-                for a, b in self.witness]
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "axiom": self.axiom,
-            "status": self.status,
-            "cases_checked": self.cases_checked,
-            "exhaustive": self.status == "holds",
-        }
-        if self.covers is not None:
-            out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
-        witness = self.witness_names()
-        if witness is not None:
-            out["witness"] = witness
-        return out
 
 
 # --- reduced engine (module docstring, steps 1-4) ------------------------------
@@ -184,23 +162,6 @@ class AxiomReport(NamedTuple):
 # bits.  0 is the boundary; 3 (both) occurs only under drop-disjointness.
 def _state_count(mutation: str | None) -> int:
     return 4 if mutation == "drop-disjointness" else 3
-
-
-def _pairs(
-    types: Sequence[tuple[int, ...]], positions: Sequence[int], arity: int
-) -> tuple[Pair, ...]:
-    """The r orthopairs giving object positions[i] the type types[i], and
-    the other objects the boundary, OR-ing in `1 << i`: for a few objects."""
-    out = []
-    for var in range(arity):
-        pos, neg = 0, 0
-        for i, state in zip(positions, types):
-            if state[var] & POSITIVE:
-                pos |= 1 << i
-            if state[var] & NEGATIVE:
-                neg |= 1 << i
-        out.append((pos, neg))
-    return tuple(out)
 
 
 @functools.cache
@@ -223,7 +184,7 @@ def _reduced_verdict(
     """Cases evaluated and the first failing type set (None if it holds).
 
     Every nonempty set of at most `cap` types is evaluated once, on the
-    single-block knowledge base with one object per type.
+    single-block knowledge base with one object per type (`table.type_pairs`).
     """
     axiom = AXIOMS[axiom_id]
     types = list(itertools.product(range(_state_count(mutation)), repeat=axiom.arity))
@@ -232,7 +193,7 @@ def _reduced_verdict(
         ops = _block_ops(size, mutation)
         for type_set in itertools.combinations(types, size):
             checked += 1
-            if not axiom.predicate(ops, *_pairs(type_set, range(size), axiom.arity)):
+            if not axiom.predicate(ops, *type_pairs(type_set, range(size), axiom.arity)):
                 return checked, type_set
     return checked, None
 

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
-from .table import mask_of, members_of
+from .table import mask_of
 from .values import (  # the logics themselves; these names stay importable from here
     BASE_SYMBOLS,
     LogicSpec,
@@ -119,7 +119,8 @@ def evaluate_logic(kb: KnowledgeBase, p: Orthopair, spec: LogicSpec) -> LogicAss
 class LogicValidation(NamedTuple):
     """Outcome of checking disjointness and coverage over all concepts.  As
     in `axioms.AxiomReport`, an invalid verdict's masks index the `objects`
-    of its `universe`: the partition checked, or kb's universe (the oracle)."""
+    of its `universe`: the partition checked, or kb's universe (the oracle).
+    The records keep raw masks; `verdicts.logic_entry` names the objects."""
 
     logic: str
     status: str  # "valid" | "invalid"
@@ -129,28 +130,6 @@ class LogicValidation(NamedTuple):
     uncovered: int | None = None
     universe: Partition | Universe | None = None
     covers: tuple[int, int] | None = None  # a valid verdict's: base^exponent concepts
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "logic": self.logic,
-            "status": self.status,
-            "checked": self.checked,
-            "exhaustive": True,  # both engines decide exactly
-        }
-        if self.covers is not None:
-            out["covers"] = {"base": self.covers[0], "exponent": self.covers[1]}
-
-        def names(mask: int) -> list[str]:
-            return members_of(mask, self.universe.objects)
-
-        if self.witness is not None:
-            positive, negative = map(names, self.witness)
-            out["witness"] = {"positive": positive, "negative": negative}
-        if self.overlap is not None:
-            out["overlap"] = [*self.overlap[:2], names(self.overlap[2])]
-        if self.uncovered is not None:
-            out["uncovered"] = names(self.uncovered)
-        return out
 
 
 def _partition_failure(kb: KnowledgeBase, spec: LogicSpec, p: Orthopair) -> dict:

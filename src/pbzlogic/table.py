@@ -77,23 +77,35 @@ class Partition(NamedTuple):
              types: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
         """The witness of a failing case, one (positive, negative) mask pair
         per variable: the objects at `rows`, one block's positions, take the
-        `types` in order, the rest of the block repeats the first type, and
-        every other object is negative.  A type holds one state per
-        variable, whose `regions.POSITIVE` and `NEGATIVE` bits place the
-        object (neither: the boundary).  The masks are built in byte
-        buffers, so the time is linear in |U|."""
+        `types` in order (`type_pairs`), the rest of the block repeats the
+        first type, and every other object is negative.  The rest and the
+        outside are built in byte buffers, so the time is linear in |U|."""
         size = len(self.objects)
-        head = list(zip(rows, types))
-        rest = mask_of(rows[len(head):], size)
+        rest = mask_of(rows[len(types):], size)
         outside = ((1 << size) - 1) ^ mask_of(rows, size)
         first = types[0]
+        return tuple((pos | (rest if first[var] & POSITIVE else 0),
+                      neg | (rest if first[var] & NEGATIVE else 0) | outside)
+                     for var, (pos, neg) in enumerate(type_pairs(types, rows, len(first))))
 
-        def mask(var: int, bit: int) -> int:
-            return (mask_of([i for i, state in head if state[var] & bit], size)
-                    | (rest if first[var] & bit else 0))
 
-        return tuple((mask(var, POSITIVE), outside | mask(var, NEGATIVE))
-                     for var in range(len(first)))
+def type_pairs(types: Sequence[tuple[int, ...]], positions: Sequence[int],
+               arity: int) -> tuple[tuple[int, int], ...]:
+    """The mask pairs, one per variable, giving the object at positions[i]
+    the type types[i] and the others the boundary: a type's state for each
+    variable has a `regions.POSITIVE` and a `NEGATIVE` bit.  Each axiom case
+    and each witness (`Partition.lift`) starts here; OR-ing in `1 << i`
+    suits their few types, at most the 16 of a reduced case."""
+    out = []
+    for var in range(arity):
+        pos, neg = 0, 0
+        for i, state in zip(positions, types):
+            if state[var] & POSITIVE:
+                pos |= 1 << i
+            if state[var] & NEGATIVE:
+                neg |= 1 << i
+        out.append((pos, neg))
+    return tuple(out)
 
 
 def mask_of(indices: Iterable[int], size: int) -> int:

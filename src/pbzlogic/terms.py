@@ -123,11 +123,19 @@ class _Parser:
     def _error(self, what: str) -> TermError:
         return TermError(f"{what} at position {self.pos} in {self.text!r}")
 
-    def parse(self, rule: Callable[[], str]) -> str:
-        code = rule()
-        if self.pos != len(self.text):
-            raise self._error("trailing input")
-        return code
+    def parse(self, rule: Callable[[], str], params: str) -> Callable:
+        """`lambda o, <params>: <code>` of the code that `rule` writes for the
+        whole text.  The code holds only names that the parser writes, never
+        text of its input, and sees no builtins.  A term nested past the
+        recursion limit, or past the compiler's nesting limit in the code
+        (200 calls deep), is a TermError."""
+        try:
+            code = rule()
+            if self.pos != len(self.text):
+                raise self._error("trailing input")
+            return eval(f"lambda {', '.join(('o', *params))}: {code}", {"__builtins__": {}})
+        except (RecursionError, SyntaxError):
+            raise TermError(f"term nested too deeply: {self.text!r}") from None
 
     def formula(self) -> str:
         code = self._relations()
@@ -180,12 +188,6 @@ class _Parser:
         return code
 
 
-def _function(params: str, code: str) -> Callable:
-    """`lambda o, <params>: <code>`.  The code holds only names that the
-    parser writes, never text of its input, and sees no builtins."""
-    return eval(f"lambda {', '.join(('o', *params))}: {code}", {"__builtins__": {}})
-
-
 @functools.lru_cache(maxsize=256)
 def compile_term(term: str) -> Callable[[LatticeOps, Pair], Pair]:
     """The function (ops, a) -> pair that a term in the one variable `a`
@@ -194,4 +196,4 @@ def compile_term(term: str) -> Callable[[LatticeOps, Pair], Pair]:
     if all(ch in _WORD_OPS for ch in text):
         text = "a" + text
     parser = _Parser(text, "a")
-    return _function("a", parser.parse(parser.term))
+    return parser.parse(parser.term, "a")

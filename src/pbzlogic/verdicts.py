@@ -1,21 +1,26 @@
 """The reports of `verify` and `validate-logic`, written as they are decided.
 
-`write_runs` writes the axiom verdicts of each knowledge base that
-`verify` checks, `write_results` the verdict of each one that
-`validate-logic` checks, as text or as JSON: the JSON is what
-`json.dumps(report, indent=2, sort_keys=True)` of the whole report would
-write.  Each writer reads one run or result at a time from its iterator
-and writes its text as it renders it, so it never holds more than one
-run's text, nor more than one witness.  Nothing is written before the
-first run or result is decided, so an error there leaves the output empty.
-Only those two commands load this module.
+The engines return raw masks.  `axiom_entry` and `logic_entry` render a
+verdict as its JSON entry, naming the objects of its masks, and every
+writer, text or JSON, renders each verdict from its entry.  `write_runs`
+writes the axiom verdicts of each knowledge base that `verify` checks,
+`write_results` the verdict of each one that `validate-logic` checks, as
+text or as JSON: the JSON is what `json.dumps(report, indent=2,
+sort_keys=True)` of the whole report would write.  Each writer reads one
+run or result at a time from its iterator and writes its text as it
+renders it, so it never holds more than one run's text, nor more than one
+witness.  Nothing is written before the first run or result is decided,
+so an error there leaves the output empty.  Only those two commands load
+this module.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from _json import encode_basestring_ascii
+
+from .table import members_of
 
 if TYPE_CHECKING:
     from .axioms import AxiomReport
@@ -25,6 +30,42 @@ if TYPE_CHECKING:
 
 # Version 2 counts cases evaluated and states coverage as `covers` (README).
 SCHEMA_VERSION = 2
+
+
+def axiom_entry(report: AxiomReport) -> dict:
+    """The entry of one axiom verdict: a counterexample's witness names,
+    for each variable, the objects of its positive and negative masks."""
+    entry = _entry(report.covers, axiom=report.axiom, status=report.status,
+                   cases_checked=report.cases_checked, exhaustive=report.status == "holds")
+    if report.witness is not None:
+        entry["witness"] = [_names(pair, report.universe.objects) for pair in report.witness]
+    return entry
+
+
+def logic_entry(result: LogicValidation) -> dict:
+    """The entry of one logic verdict: an invalid one names the objects of
+    its witness concept, and those of its overlap or uncovered mask."""
+    entry = _entry(result.covers, logic=result.logic, status=result.status,
+                   checked=result.checked, exhaustive=True)  # both engines decide exactly
+    if result.witness is not None:
+        entry["witness"] = _names(result.witness, result.universe.objects)
+    if result.overlap is not None:
+        *labels, shared = result.overlap
+        entry["overlap"] = [*labels, members_of(shared, result.universe.objects)]
+    if result.uncovered is not None:
+        entry["uncovered"] = members_of(result.uncovered, result.universe.objects)
+    return entry
+
+
+def _entry(covers: tuple[int, int] | None, **entry: object) -> dict:
+    """The fields of an entry, and a hold's `covers`: base^exponent cases."""
+    if covers is not None:
+        entry["covers"] = {"base": covers[0], "exponent": covers[1]}
+    return entry
+
+
+def _names(pair: tuple[int, int], objects: Sequence[str]) -> dict[str, list[str]]:
+    return {"positive": members_of(pair[0], objects), "negative": members_of(pair[1], objects)}
 
 
 def write_runs(runs: Iterator[Run], fmt: str, out: TextIO) -> None:
@@ -44,11 +85,10 @@ def _write_runs_text(runs: Iterator[Run], out: TextIO) -> None:
         out.write(f"{label}: {'PBZ-certified' if ok else 'FAILED'}\n")
         for r in reports:
             if r.status != "holds":
-                witness = r.witness_names()
-                out.write(
-                    f"  {r.axiom}: {r.status} (cases checked: {r.cases_checked})"
-                    + ("" if witness is None else f" witness: {witness}") + "\n"
-                )
+                entry = axiom_entry(r)
+                witness = f" witness: {entry['witness']}" if "witness" in entry else ""
+                out.write(f"  {entry['axiom']}: {entry['status']}"
+                          f" (cases checked: {entry['cases_checked']}){witness}\n")
 
 
 def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
@@ -73,10 +113,10 @@ def _write_runs_json(runs: Iterator[Run], out: TextIO) -> None:
                 key = (*r[:3], r.covers)  # covers tells the holds of each |U| apart
                 entry = rendered.get(key)
                 if entry is None:
-                    entry = rendered[key] = "        " + dumps(r.to_dict(), "        ")
+                    entry = rendered[key] = "        " + dumps(axiom_entry(r), "        ")
                 text.append(entry)
             else:
-                text.append("        " + dumps(r.to_dict(), "        "))
+                text.append("        " + dumps(axiom_entry(r), "        "))
                 out.write("".join(text))
                 text.clear()
         text.append(f'\n      ],\n      "certified": {"true" if ok else "false"},'
@@ -93,7 +133,7 @@ def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None
 
     sep = '{\n  "results": [\n'  # written with the first result
     for result in results:
-        out.write(sep + "    " + dumps(result.to_dict(), "    "))
+        out.write(sep + "    " + dumps(logic_entry(result), "    "))
         sep = ",\n"
     out.write(f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
@@ -103,8 +143,9 @@ def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None
     the concepts a valid verdict covers, then the failure and witness of
     an invalid one.  Every verdict is exhaustive."""
     for result in results:
-        rep = result.to_dict()
-        covers = "" if result.covers is None else ", covers %d^%d concepts" % result.covers
+        rep = logic_entry(result)
+        c = rep.get("covers")
+        covers = "" if c is None else f", covers {c['base']}^{c['exponent']} concepts"
         lines = [
             f"{rep['logic']}: {rep['status']} (checked {rep['checked']} cases{covers}, exhaustive)"
         ]

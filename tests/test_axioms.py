@@ -7,6 +7,7 @@ from pbzlogic import (
     AXIOMS,
     MUTATIONS,
     KnowledgeBase,
+    TermError,
     Universe,
     all_knowledge_bases,
     certified,
@@ -15,10 +16,10 @@ from pbzlogic import (
     default_universe,
     run_mutation,
 )
-from pbzlogic import axioms, brute
+from pbzlogic import axioms, brute, verdicts
 from pbzlogic.brute import mutated_ops, standard_ops
 from pbzlogic.sweep import all_orthopair_masks, all_partitions
-from pbzlogic.table import Partition
+from pbzlogic.table import Partition, type_pairs
 
 
 def _all_pairs_including_overlapping(size: int):
@@ -203,9 +204,14 @@ def test_witness_names_render(kb3):
     ops = mutated_ops(kb3, "kleene-identity")
     report = check_axiom(kb3, "K2", ops=ops)
     assert report.status == "counterexample"
-    rendered = report.to_dict()["witness"]
+    rendered = verdicts.axiom_entry(report)["witness"]
     assert len(rendered) == AXIOMS["K2"].arity
     assert all(set(entry) == {"positive", "negative"} for entry in rendered)
+
+
+def test_an_equation_needs_a_relation():
+    with pytest.raises(TermError, match="expected '=' or '<='"):
+        axioms._axiom("X", "a")
 
 
 def test_unknown_mutation_rejected(kb3):
@@ -406,7 +412,7 @@ def test_a_lift_onto_a_large_block_takes_linear_time():
     outside = 0b1111_1111 ^ sum(1 << i for i in members)
     partition = Partition([f"o{i}" for i in range(8)], [0, 1, 0, 1, 1, 0, 1, 1], [3, 5])
     assert partition.lift(members, type_set) == tuple(
-        (pos, neg | outside) for pos, neg in axioms._pairs(filled, members, 3))
+        (pos, neg | outside) for pos, neg in type_pairs(filled, members, 3))
     size = 1 << 19
     partition = Partition(range(size), [0] + [1] * (size - 1), [1, size - 1])
     start = time.perf_counter()

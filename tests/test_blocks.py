@@ -25,6 +25,7 @@ from pbzlogic import (
 from pbzlogic.axioms import check_blocks
 from pbzlogic.cli import Partition, load_table, main
 from pbzlogic.logics import validate_blocks
+from pbzlogic.verdicts import axiom_entry, logic_entry
 
 SIZES = [1, 2, 3, 4, 5]
 
@@ -81,7 +82,7 @@ def test_verify_table_matches_knowledge_base(tmp_path, capsys, size):
             mutate = ["--mutate", mutation] if mutation else []
             code = main(["verify", "--input", str(path), "--format", "json", *mutate])
             (run,) = json.loads(capsys.readouterr().out)["runs"]
-            assert run["axioms"] == [r.to_dict() for r in expected]
+            assert run["axioms"] == [axiom_entry(r) for r in expected]
             assert (code == 0) == run["certified"]
     assert statuses == {"holds", "counterexample"}
 
@@ -97,13 +98,13 @@ def test_validate_logic_table_matches_knowledge_base(tmp_path, capsys, size):
             labels_of = spec.value_table()
             expected = validate_logic(kb, spec)
             got = validate_blocks(spec, labels_of, Partition(*table[:3]))
-            assert got.to_dict() == expected.to_dict(), (data, spec.name)
+            assert logic_entry(got) == logic_entry(expected), (data, spec.name)
             statuses.add(got.status)
             spec_path = tmp_path / "spec.json"
             spec_path.write_text(spec.to_json())
             code = main(["validate-logic", "--logic", str(spec_path), "--input", str(path),
                          "--format", "json"])
             (result,) = json.loads(capsys.readouterr().out)["results"]
-            assert result == validate_logic(kb, spec).to_dict()
+            assert result == logic_entry(validate_logic(kb, spec))
             assert (code == 0) == (result["status"] == "valid")
     assert statuses == {"valid", "invalid"}

@@ -29,6 +29,7 @@ from pbzlogic import (
     run_mutation,
 )
 from pbzlogic.cli import main, sha256_hex
+from pbzlogic.verdicts import axiom_entry
 
 DEMO_CSV = Path(__file__).parent / "data" / "demo.csv"
 
@@ -660,7 +661,7 @@ def test_verify_sweep_json_lists_each_report(capsys, argv):
         for i, kb in enumerate(all_knowledge_bases(default_universe(size)))
     ]
     assert [(r["kb"], r["certified"], r["axioms"]) for r in runs] == [
-        (label, certified(reports), [r.to_dict() for r in reports])
+        (label, certified(reports), [axiom_entry(r) for r in reports])
         for label, reports in expected
     ]
     assert code == (0 if all(r["certified"] for r in runs) else 2)
@@ -920,6 +921,65 @@ def test_validate_logic_matches_golden_bytes(capsys, tmp_path, golden, argv, cod
     got, out, _ = run(capsys, "validate-logic", *argv)
     assert got == code
     assert out.encode("utf-8") == (DEMO_CSV.parent / "golden" / golden).read_bytes()
+
+
+# A logic with one label, for sT alone: every table fails with uncovered objects.
+GAP_JSON = '{"name": "gap", "values": [{"label": "t", "up": ["sT"]}]}'
+FAILING_COMMANDS = [
+    *(["verify", "--sizes", "3", "--mutate", m] for m in MUTATION_NAMES),
+    ["validate-logic", "--logic", "GAP", "--size", "3"],
+    ["validate-logic", "--logic", "GAP", "--input", str(DEMO_CSV)],
+    ["validate-logic", "--logic", "OVERLAPPING", "--size", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILING_COMMANDS,
+                         ids=[*MUTATION_NAMES, "gap-size-3", "gap-input", "overlapping-size-3"])
+def test_text_and_json_agree_on_every_failing_verdict(capsys, tmp_path, argv):
+    """Every failing line of the text report gives the status, the case
+    count and the witness of the matching JSON entry, and for a logic its
+    overlap and its uncovered objects; each failing entry has its line."""
+    specs = {"GAP": GAP_JSON, "OVERLAPPING": OVERLAPPING.to_json()}
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(spec)
+    argv = [str(tmp_path / f"{arg}.json") if arg in specs else arg for arg in argv]
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code == 2
+    report = json.loads(out)
+    if argv[0] == "verify":
+        entries = {(r["kb"], entry["axiom"]): entry
+                   for r in report["runs"] for entry in r["axioms"]}
+        failing = {}
+        for line in text.splitlines():
+            if not line.startswith("  "):
+                label = line.rsplit(": ", 1)[0]
+                continue
+            axiom, status, cases, witness = re.fullmatch(
+                r"  (\S+): (\S+) \(cases checked: (\d+)\) witness: (.*)", line).groups()
+            failing[label, axiom] = (status, int(cases), ast.literal_eval(witness))
+        assert failing == {key: (e["status"], e["cases_checked"], e["witness"])
+                           for key, e in entries.items() if e["status"] != "holds"}
+        return
+    verdicts = re.split(r"\n(?=\S)", text.rstrip("\n"))  # a verdict line and its lines
+    assert len(verdicts) == len(report["results"])
+    for verdict, entry in zip(verdicts, report["results"]):
+        head, *lines = verdict.split("\n")
+        status, cases = re.fullmatch(
+            r"\S+: (\S+) \(checked (\d+) cases(?:, covers \S+ concepts)?, exhaustive\)",
+            head).groups()
+        assert (status, int(cases)) == (entry["status"], entry["checked"])
+        failure = {}
+        for line in lines:
+            if match := re.fullmatch(r"  overlap between (\S+) and (\S+) on (.*)", line):
+                failure["overlap"] = [match[1], match[2], ast.literal_eval(match[3])]
+            else:
+                name, value = line.strip().split(": ", 1)
+                key = {"uncovered objects": "uncovered", "witness concept": "witness"}[name]
+                failure[key] = ast.literal_eval(value)
+        assert failure == {key: entry[key] for key in ("overlap", "uncovered", "witness")
+                           if key in entry}
+        assert (status == "invalid") == bool(failure)
 
 
 def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):

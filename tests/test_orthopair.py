@@ -149,6 +149,22 @@ def test_eval_term_rejects_malformed(six_kb, six_pair, term):
         eval_term(six_kb, six_pair, term)
 
 
+@pytest.mark.parametrize("term", [
+    "a" + "-" * 1000,
+    "&".join(["a"] * 1000),
+    "|".join(["a"] * 1000),
+    "(" * 1000 + "a" + ")" * 1000,
+], ids=["word", "meets", "joins", "parentheses"])
+def test_eval_term_nested_too_deeply_is_a_term_error(six_kb, six_pair, term):
+    with pytest.raises(TermError, match="nested too deeply"):
+        eval_term(six_kb, six_pair, term)
+
+
+def test_eval_term_word_of_200_letters(six_kb, six_pair):
+    # an even number of Kleene negations is the identity
+    assert eval_term(six_kb, six_pair, "a" + "-" * 200) == six_pair
+
+
 def test_eval_term_universe_mismatch(six_kb, u3):
     with pytest.raises(UniverseMismatchError):
         eval_term(six_kb, Orthopair.from_names(u3, ["o1"], []), "L")

@@ -7,6 +7,7 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,12 @@ def test_json_writer_equals_json_dumps(value, report):
         sys.set_int_max_str_digits(limit)
 
 
+def test_json_writer_rejects_what_reports_never_hold():
+    # json.dumps would write 1.5; a report holds no float
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        dumps(1.5)
+
+
 class _Writes:
     """A stream that keeps each write apart."""
 
@@ -152,7 +159,8 @@ def test_a_failing_run_is_written_up_to_each_witness():
     verdicts._write_runs_json(iter([("first", certified(bad), bad), ("second", True, good)]), out)
     text = "".join(out.writes)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-    witnessed = ["        " + dumps(r.to_dict(), "        ") for r in bad if r.witness is not None]
+    witnessed = ["        " + dumps(verdicts.axiom_entry(r), "        ")
+                 for r in bad if r.witness is not None]
     assert len(witnessed) > 1
     for entry in witnessed:
         assert sum(write.endswith(entry) for write in out.writes) == 1

@@ -99,6 +99,13 @@ def test_classify_examples(six_kb, six_pair):
         classify(six_kb, six_pair, "nope")
 
 
+def test_value_of_an_unknown_object_is_a_key_error(six_kb, six_pair):
+    sp = seven_partition(six_kb, six_pair)
+    assert sp.value_of("o4") is V.CONTRADICTORY
+    with pytest.raises(KeyError):
+        sp.value_of("nope")
+
+
 def test_classify_identity_partition():
     u = Universe.of("a", "b")
     kb = KnowledgeBase.from_partition(u, [u.subset([n]) for n in u])
