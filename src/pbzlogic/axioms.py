@@ -10,8 +10,8 @@ engines reach a verdict:
   pbzlogic builds itself: the standard operators, or one of the
   documented mutations.  The most cases any axiom has is 511 under the
   standard operators and 65,535 under drop-disjointness (step 3), so it
-  takes no budget.  It takes a `table.Partition` (object names, a block
-  id per object, the block sizes), not the knowledge base: `verify`
+  takes no budget.  It takes a `partition.Partition` (object names, a
+  block id per object, the block sizes), not the knowledge base: `verify`
   passes a table or a set partition of its sweep to `check_blocks`, so
   `verify` loads neither the mask layer nor the brute engine;
 * the brute engine (`brute._check_brute`) enumerates every tuple of
@@ -78,7 +78,7 @@ Why the reduction is exact
    states^r cases, 27 for distributivity.
 
 A failing type set becomes a witness over the whole knowledge base as in
-step 2 (`table.Partition.lift`): its types go on the first objects of the
+step 2 (`partition.Partition.lift`): its types go on the first objects of the
 largest block, its first type repeats over the rest of that block (which
 keeps the type set), and every variable is bottom on the other blocks.
 
@@ -92,11 +92,11 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .table import type_pairs
+from .partition import type_pairs
 from .terms import LatticeOps, Pair, _ops, _Parser
 
 if TYPE_CHECKING:
-    from .table import Partition
+    from .partition import Partition
     from .universe import Universe
 
 
@@ -184,7 +184,8 @@ def _reduced_verdict(
     """Cases evaluated and the first failing type set (None if it holds).
 
     Every nonempty set of at most `cap` types is evaluated once, on the
-    single-block knowledge base with one object per type (`table.type_pairs`).
+    single-block knowledge base with one object per type
+    (`partition.type_pairs`).
     """
     axiom = AXIOMS[axiom_id]
     types = list(itertools.product(range(_state_count(mutation)), repeat=axiom.arity))

@@ -1,4 +1,4 @@
-"""Command-line front end: the parser, the dispatch and the commands.
+"""Command-line front end: the commands and their dispatch.
 
 Subcommands:
 
@@ -11,22 +11,22 @@ Subcommands:
 A table is read by `table.load_table`; `classify` builds its report in
 `report`, from the seven values and the logics' value tables (`values`).
 `verify` and `validate-logic` take every knowledge base, a table or a set
-partition of a synthetic sweep, as a `table.Partition` and build no mask
-layer, and write their reports through `verdicts`.  Every JSON report is
+partition of a synthetic sweep, as a `partition.Partition` and build no
+mask layer, and write their reports through `verdicts`.  Every JSON report is
 written as `json.dumps(report, indent=2, sort_keys=True)` would write it,
 without loading `json` (`jsontext.dumps`).
 
 Each command imports the modules it uses inside it, and only those whose
 code it runs, because a run without cached bytecode compiles every line
-it imports.  No module imports this one: under `python -m pbzlogic.cli`
-it runs as `__main__`, and an import would compile it a second time.
+it imports, and the largest module it compiles sets its peak RSS.  No
+module imports this one: under `python -m pbzlogic.cli` it runs as
+`__main__`, and an import would compile it a second time.
 
-The options of every subcommand are one table, `COMMANDS`.  `parse_exact`
-reads a well-formed command line, a subcommand followed by `--option
-value` pairs, straight off the table; any other goes to the argparse
-parser that `build_parser` builds from it.  So `argparse` loads only for
-help and usage errors, and `pathlib` only where `--logic` names a spec
-file.
+The options of every subcommand, and the two parsers that read them, are
+in `options`; `RUN` maps each subcommand's name to its command.  So
+`argparse` loads only for help and usage errors, and `pathlib` only where
+`--logic` names a spec file.  `--sizes` and `--size` name a synthetic
+sweep, so either one given with `--input` is a data error.
 
 `run` is the process entry, of `python -m pbzlogic.cli` and of the
 installed `pbzlogic` script: it calls `main`, flushes stdout and stderr and
@@ -43,16 +43,15 @@ from __future__ import annotations
 
 import os
 import sys
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TextIO
 
+from .options import MAX_SYNTHETIC_SIZE, build_parser, parse_exact
 from .table import (  # the ingest; these names stay importable from here
     DEFAULT_NEGATIVE,
     DEFAULT_POSITIVE,
     DEFAULT_UNKNOWN,
     SCHEMA_VERSION,
     DataError,
-    Partition,
     Table,
     TableConfig,
     load_table,
@@ -61,10 +60,12 @@ from .table import (  # the ingest; these names stay importable from here
 )
 
 if TYPE_CHECKING:  # each command imports the modules it uses
-    from argparse import ArgumentParser, Namespace
+    from argparse import Namespace
+    from types import SimpleNamespace
 
     from .axioms import AxiomReport
     from .logics import LogicValidation
+    from .partition import Partition
     from .values import LogicSpec, TruthValue
 
     Args = Namespace | SimpleNamespace  # what `build_parser` or `parse_exact` parsed
@@ -72,10 +73,6 @@ if TYPE_CHECKING:  # each command imports the modules it uses
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CHECK_FAILED = 2
-
-# Synthetic sweeps check one knowledge base per set partition of their
-# objects: Bell(8) = 4,140 of them.
-MAX_SYNTHETIC_SIZE = 8
 
 
 # The commands call `load_table` and the four functions below through this
@@ -205,7 +202,7 @@ def cmd_verify(args: Args) -> int:
 
     def runs() -> Iterator[tuple[str, bool, list[AxiomReport]]]:
         nonlocal failed
-        for label, partition in _partitions(args, args.sizes, "--sizes"):
+        for label, partition in _partitions(args, args.sizes, "--sizes", "1,2,3,4"):
             reports = axioms.check_blocks(partition, args.mutate)
             ok = axioms.certified(reports)
             failed = failed or not ok
@@ -215,15 +212,22 @@ def cmd_verify(args: Args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _partitions(args: Args, sizes: str,
-                option: str) -> Iterator[tuple[str, Partition]]:
+def _partitions(args: Args, sizes: str | int | None, option: str,
+                default: str) -> Iterator[tuple[str, Partition]]:
     """The label and partition of each knowledge base that `verify` and
     `validate-logic` check, one at a time: the `--input` table, else every
-    set partition of each size in the comma-separated `sizes` of `option`."""
+    set partition of each size in the comma-separated `sizes` of `option`
+    (`default` where it is not given).  A size given with `--input` is a
+    DataError, raised before any knowledge base is checked."""
     if args.input is not None:
+        if sizes is not None:
+            raise DataError(f"{option} sizes a synthetic sweep: it cannot be given with --input")
+        from .partition import Partition  # here, so that `classify` never loads it
+
         table = load_table(args.input, _table_config(args))
         yield f"table {args.input}", Partition(*table[:3])
         return
+    sizes = default if sizes is None else str(sizes)
     for size in [_parse_size(s, option, MAX_SYNTHETIC_SIZE) for s in sizes.split(",")]:
         for i, partition in enumerate(all_knowledge_bases(size)):
             yield f"size {size} partition {i}", partition
@@ -240,7 +244,7 @@ def cmd_validate_logic(args: Args) -> int:
 
     def results() -> Iterator[LogicValidation]:
         nonlocal failed
-        for _, partition in _partitions(args, str(args.size), "--size"):
+        for _, partition in _partitions(args, args.size, "--size", "4"):
             result = validate_logic(spec, labels_of, partition)
             failed = failed or result.status != "valid"
             yield result
@@ -259,141 +263,13 @@ def cmd_list_logics(args: Args) -> int:
     return EXIT_OK
 
 
-# The help of an option that the help leaves out: argparse.SUPPRESS, which
-# argparse tests by identity.
-SUPPRESS = "==SUPPRESS=="
-
-
-class Option(NamedTuple):
-    """One option of a subcommand, as both parsers read it.  `check` is the
-    tuple of its choices, `int` for an integer, or None for any string."""
-
-    flag: str
-    help: str | None = None
-    default: str | int | None = None
-    check: tuple[str, ...] | type[int] | None = None
-    required: bool = False
-
-    @property
-    def dest(self) -> str:
-        """The attribute that holds the value, named as argparse names it."""
-        return self.flag[2:].replace("-", "_")
-
-
-class Command(NamedTuple):
-    """A subcommand: its help, the function that runs it, and its options
-    in the order of its help."""
-
-    help: str
-    func: Callable[[Args], int]
-    options: tuple[Option, ...]
-
-
-def _table_options(required: bool) -> tuple[Option, ...]:
-    return (
-        Option("--input", "CSV decision table", required=required),
-        Option("--attributes", "comma-separated condition attributes (default: all)"),
-        Option("--decision-column", "decision column name (default: last)"),
-        Option("--positive-tokens", "comma-separated positive decision tokens"),
-        Option("--negative-tokens", "comma-separated negative decision tokens"),
-        Option("--unknown-tokens", "comma-separated unknown decision tokens"),
-    )
-
-
-FORMAT = Option("--format", default="text", check=("text", "json"))
-
-COMMANDS: dict[str, Command] = {
-    "classify": Command("classify every object of a decision table", cmd_classify, (
-        *_table_options(required=True),
-        Option("--logic", "built-in logic name, spec file path, or 'seven'", "seven"),
-        FORMAT,
-    )),
-    "verify": Command("run the lattice axiom suite", cmd_verify, (
-        *_table_options(required=False),
-        Option("--sizes", f"synthetic universe sizes from 1 to {MAX_SYNTHETIC_SIZE},"
-               " e.g. 3,4 (default 1,2,3,4)", "1,2,3,4"),
-        FORMAT,
-        Option("--mutate", SUPPRESS),  # test harness only
-    )),
-    "validate-logic": Command("check a logic spec for partition laws", cmd_validate_logic, (
-        *_table_options(required=False),
-        Option("--logic", "built-in logic name or spec file path", required=True),
-        Option("--size", f"synthetic universe size from 1 to {MAX_SYNTHETIC_SIZE}"
-               " when no input table is given: every set partition of it", 4, int),
-        FORMAT,
-    )),
-    "list-logics": Command("list the built-in logics", cmd_list_logics, ()),
+# The function that runs each subcommand of `options.COMMANDS`.
+RUN: dict[str, Callable[[Args], int]] = {
+    "classify": cmd_classify,
+    "verify": cmd_verify,
+    "validate-logic": cmd_validate_logic,
+    "list-logics": cmd_list_logics,
 }
-
-
-def parse_exact(argv: Sequence[str]) -> SimpleNamespace | None:
-    """What `build_parser().parse_args(argv)` gives, attribute for attribute,
-    when `argv` is a subcommand followed by `--option value` pairs: each
-    option spelt in full, no value starting with "-", each value one that
-    argparse takes, and every required option given.  Of repeated values
-    the last wins, as in argparse.  None for any other `argv`, which `main`
-    leaves to argparse: help, abbreviations, `--option=value`, `--` and
-    every usage error."""
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None or len(argv) % 2 == 0:
-        return None
-    options = {option.flag: option for option in command.options}
-    values = {option.dest: option.default for option in command.options}
-    flags = argv[1::2]
-    for flag, value in zip(flags, argv[2::2]):
-        option = options.get(flag)
-        if option is None or value.startswith("-"):
-            return None
-        if option.check is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        elif option.check is not None and value not in option.check:
-            return None
-        values[option.dest] = value
-    if any(option.required and option.flag not in flags for option in command.options):
-        return None
-    return SimpleNamespace(command=argv[0], func=command.func, **values)
-
-
-def build_parser() -> ArgumentParser:
-    """The argparse parser of `COMMANDS`, for help and usage errors."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Exits 1 on a usage error, as on a data error: argparse's own 2 is
-        the code of a failed check.  Subparsers inherit the class."""
-
-        def error(self, message: str) -> NoReturn:
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_DATA_ERROR, f"{self.prog}: error: {message}\n")
-
-        def print_help(self, file: TextIO | None = None) -> None:
-            """Write and flush the help, raising the OSError of a failed
-            write for `main` to report: argparse's own would swallow it,
-            and write to stderr when stdout is closed."""
-            file = sys.stdout if file is None else file
-            if file is None:
-                raise OSError("stdout is closed")
-            file.write(self.format_help())
-            file.flush()
-
-    parser = _Parser(
-        prog="pbzlogic",
-        description="Seven-valued rough-set classification of decision tables",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for option in command.options:
-            check = "choices" if isinstance(option.check, tuple) else "type"
-            p.add_argument(
-                option.flag, default=option.default, required=option.required,
-                help=argparse.SUPPRESS if option.help == SUPPRESS else option.help,
-                **{check: option.check})
-        p.set_defaults(func=command.func)
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -404,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")
-        code = args.func(args)
+        code = RUN[args.command](args)
         sys.stdout.flush()
         return code
     except (OSError, ValueError) as exc:  # DataError is a ValueError

@@ -5,8 +5,8 @@ Each derived value is defined by a union of upward aggregations, a union
 of downward aggregations, or the intersection of one union of each kind.
 A logic is valid on a knowledge base when its derived values partition
 the universe for every concept (orthopair).  `validate_blocks` decides that from the
-logic's seven-entry `value_table` and a `table.Partition` (object names,
-a block id per object, the block sizes), by the argument below: only the
+logic's seven-entry `value_table` and a `partition.Partition` (object
+names, a block id per object, the block sizes), by the argument below: only the
 largest block and |U| matter, and an invalid verdict's witness and
 failure follow from its block ids.  `validate-logic` runs it on a table or
 on each set partition of its sweep; `validate_logic` runs it on
@@ -43,7 +43,7 @@ Hence the logic is valid iff every value v with need(v) <= the largest
 block has exactly one label.  These realisable values are the cases,
 evaluated in the fixed order T, U, F, sT, K, sF, fK: by need(v), ties in
 the order of `TruthValue`.  The first case with no label or several is
-lifted to a witness concept by `table.Partition.lift`: the construction
+lifted to a witness concept by `partition.Partition.lift`: the construction
 of step 2 on the first smallest block that can take the value, with
 every object outside that block negative.  On that concept the block's
 objects have no single label, so the per-concept check that the
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._record import FrozenRecord
 from .regions import BOUNDARY, NEGATIVE, POSITIVE
-from .table import mask_of
+from .partition import mask_of
 from .values import (  # the logics themselves; these names stay importable from here
     BASE_SYMBOLS,
     LogicSpec,
@@ -71,7 +71,7 @@ from .values import (  # the logics themselves; these names stay importable from
 
 if TYPE_CHECKING:  # the mask layer is imported where it is used
     from .orthopair import Orthopair
-    from .table import Partition
+    from .partition import Partition
     from .universe import KnowledgeBase, ObjectSet, Universe
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .table import Partition
+from .partition import Partition
 
 if TYPE_CHECKING:  # the mask layer, imported where its objects are built
     from .orthopair import Orthopair

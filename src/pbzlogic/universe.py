@@ -6,7 +6,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
-from .table import Partition, mask_of, members_of
+from .partition import Partition, mask_of, members_of
 
 if TYPE_CHECKING:
     from .terms import LatticeOps

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from _json import encode_basestring_ascii
 
-from .table import members_of
+from .partition import members_of
 
 if TYPE_CHECKING:
     from .axioms import AxiomReport
@@ -141,7 +141,9 @@ def _write_results_json(results: Iterator[LogicValidation], out: TextIO) -> None
 def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None:
     """One verdict line per knowledge base, with the cases evaluated and
     the concepts a valid verdict covers, then the failure and witness of
-    an invalid one.  Every verdict is exhaustive."""
+    an invalid one.  Every verdict is exhaustive.  An overlap's labels are
+    written by their repr, as the object lists are: a label may hold any
+    text, " and " included."""
     for result in results:
         rep = logic_entry(result)
         c = rep.get("covers")
@@ -151,7 +153,7 @@ def _write_results_text(results: Iterator[LogicValidation], out: TextIO) -> None
         ]
         if "overlap" in rep:
             lines.append(
-                f"  overlap between {rep['overlap'][0]} and {rep['overlap'][1]}"
+                f"  overlap between {rep['overlap'][0]!r} and {rep['overlap'][1]!r}"
                 f" on {rep['overlap'][2]}"
             )
         if "uncovered" in rep:

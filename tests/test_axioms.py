@@ -19,7 +19,7 @@ from pbzlogic import (
 from pbzlogic import axioms, brute, verdicts
 from pbzlogic.brute import mutated_ops, standard_ops
 from pbzlogic.sweep import all_orthopair_masks, all_partitions
-from pbzlogic.table import Partition, type_pairs
+from pbzlogic.partition import Partition, type_pairs
 
 
 def _all_pairs_including_overlapping(size: int):

@@ -23,8 +23,9 @@ from pbzlogic import (
     validate_logic,
 )
 from pbzlogic.axioms import check_blocks
-from pbzlogic.cli import Partition, load_table, main
+from pbzlogic.cli import load_table, main
 from pbzlogic.logics import validate_blocks
+from pbzlogic.partition import Partition
 from pbzlogic.verdicts import axiom_entry, logic_entry
 
 SIZES = [1, 2, 3, 4, 5]

@@ -528,6 +528,19 @@ def test_synthetic_sizes_are_bounded(capsys, argv, limit):
     assert (code, out, err) == (1, "", f"error: {limit}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--sizes", "1"], "--sizes"),
+    (["validate-logic", "--logic", "triage", "--size", "3"], "--size"),
+], ids=["verify", "validate-logic"])
+def test_a_sweep_size_with_an_input_is_a_data_error(capsys, argv, option, fmt):
+    """`--sizes` and `--size` size a synthetic sweep, which `--input`
+    replaces: given together, neither is silently ignored."""
+    code, out, err = run(capsys, *argv, "--input", str(DEMO_CSV), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: {option} sizes a synthetic sweep: it cannot be given with --input\n"
+
+
 def test_validate_logic_size_eight(capsys):
     code, out, _ = run(capsys, "validate-logic", "--logic", "belnap", "--size", "8")
     assert code == 0
@@ -723,7 +736,7 @@ def test_classify_leaves_the_axiom_engine_unloaded(demo_csv):
         assert not loaded & PARSER_MODULES
         assert not loaded & {
             "dataclasses", "json", "json.decoder", "pbzlogic.axioms", "pbzlogic.orthopair",
-            "pbzlogic.universe", "pbzlogic.sweep",
+            "pbzlogic.partition", "pbzlogic.universe", "pbzlogic.sweep",
         }
         if BUILTIN_SHA256:
             assert not loaded & {"hashlib", "_hashlib"}
@@ -743,11 +756,12 @@ def _imported_by_main(argv: list[str]) -> tuple[int, str, set[str]]:
     return done.returncode, done.stdout, imported
 
 
-# What `classify` runs: the ingest, the region bits, the classification
-# report, and the seven values with the logics' value tables.
+# What `classify` runs: the option table, the ingest, the region bits, the
+# classification report, and the seven values with the logics' value
+# tables; never the engines' `partition`.
 CLASSIFY_MODULES = {
-    "pbzlogic", "pbzlogic._record", "pbzlogic.regions", "pbzlogic.report",
-    "pbzlogic.table", "pbzlogic.values",
+    "pbzlogic", "pbzlogic._record", "pbzlogic.options", "pbzlogic.regions",
+    "pbzlogic.report", "pbzlogic.table", "pbzlogic.values",
 }
 
 
@@ -795,8 +809,8 @@ def test_list_logics_imports_only_the_values():
     assert code == 0
     assert out.startswith("treatment: treat, wait\n")
     assert {m for m in imported if m.startswith("pbzlogic")} == {
-        "pbzlogic", "pbzlogic._record", "pbzlogic.regions", "pbzlogic.table",
-        "pbzlogic.values",
+        "pbzlogic", "pbzlogic._record", "pbzlogic.options", "pbzlogic.regions",
+        "pbzlogic.table", "pbzlogic.values",
     }
 
 
@@ -825,6 +839,34 @@ def test_no_module_imports_the_cli():
                 r"^\s*(from (\.|pbzlogic\.)cli |import pbzlogic\.cli\b"
                 r"|from (\.|pbzlogic) import .*\bcli\b)", source.read_text(), re.M
             ), source.name
+
+
+# The names that the benchmark's tracer (perfbench/traced.py) wraps on `cli`.
+TRACED_NAMES = ("load_table", "build_classification_report", "render_json",
+                "validate_logic", "all_knowledge_bases")
+
+
+def test_the_traced_names_are_looked_up_when_called(capsys, monkeypatch):
+    """The tracer wraps each of these names on `cli` and skips a missing one
+    silently, so each must be on `cli`, and the commands must call it
+    through `cli`'s globals, or its span reads zero."""
+    from pbzlogic import cli
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for argv in (["classify", "--input", str(DEMO_CSV), "--format", "json"],
+                 ["validate-logic", "--logic", "triage", "--input", str(DEMO_CSV)],
+                 ["verify", "--sizes", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert set(calls) == set(TRACED_NAMES)
 
 
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 65_537])
@@ -885,8 +927,9 @@ def test_verify_input_loads_only_the_axiom_engine(demo_csv):
         # the verdicts come from the block sizes: no mask layer, sweep or truth
         # values; only the JSON report loads the JSON writer
         assert {m for m in loaded if m.startswith("pbzlogic")} == {
-            "pbzlogic", "pbzlogic.cli", "pbzlogic.table", "pbzlogic.regions",
-            "pbzlogic.axioms", "pbzlogic.terms", "pbzlogic.verdicts",
+            "pbzlogic", "pbzlogic.cli", "pbzlogic.options", "pbzlogic.table",
+            "pbzlogic.regions", "pbzlogic.partition", "pbzlogic.axioms", "pbzlogic.terms",
+            "pbzlogic.verdicts",
         } | ({"pbzlogic.jsontext"} if fmt == "json" else set())
         assert not loaded & {"json", "json.decoder", "hashlib", "dataclasses"}
 
@@ -933,6 +976,11 @@ FAILING_COMMANDS = [
 ]
 
 
+# A label as the text report writes it, by its repr: quoted, with any
+# quote or backslash inside it escaped.
+LABEL = r"'(?:[^'\\]|\\.)*'" + r'|"(?:[^"\\]|\\.)*"'
+
+
 @pytest.mark.parametrize("argv", FAILING_COMMANDS,
                          ids=[*MUTATION_NAMES, "gap-size-3", "gap-input", "overlapping-size-3"])
 def test_text_and_json_agree_on_every_failing_verdict(capsys, tmp_path, argv):
@@ -971,8 +1019,8 @@ def test_text_and_json_agree_on_every_failing_verdict(capsys, tmp_path, argv):
         assert (status, int(cases)) == (entry["status"], entry["checked"])
         failure = {}
         for line in lines:
-            if match := re.fullmatch(r"  overlap between (\S+) and (\S+) on (.*)", line):
-                failure["overlap"] = [match[1], match[2], ast.literal_eval(match[3])]
+            if match := re.fullmatch(rf"  overlap between ({LABEL}) and ({LABEL}) on (.*)", line):
+                failure["overlap"] = [ast.literal_eval(part) for part in match.groups()]
             else:
                 name, value = line.strip().split(": ", 1)
                 key = {"uncovered objects": "uncovered", "witness concept": "witness"}[name]
@@ -980,6 +1028,23 @@ def test_text_and_json_agree_on_every_failing_verdict(capsys, tmp_path, argv):
         assert failure == {key: entry[key] for key in ("overlap", "uncovered", "witness")
                            if key in entry}
         assert (status == "invalid") == bool(failure)
+
+
+@pytest.mark.parametrize("where", [["--size", "1"], ["--input", str(DEMO_CSV)]],
+                         ids=["size-1", "input"])
+def test_an_overlap_names_its_labels_unambiguously(capsys, tmp_path, where):
+    """Labels may hold any text: the overlap of ('x and y', 'z') and that
+    of ('x', 'y and z'), both on T, print different lines."""
+    overlaps = []
+    for labels in (("x and y", "z"), ("x", "y and z")):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            LogicSpec("xyz", tuple(ValueDef(label, up=("T",)) for label in labels)).to_json())
+        code, out, _ = run(capsys, "validate-logic", "--logic", str(spec), *where)
+        assert code == 2
+        overlaps.append(out.splitlines()[1])
+    assert overlaps[0].startswith("  overlap between 'x and y' and 'z' on ")
+    assert overlaps[1].startswith("  overlap between 'x' and 'y and z' on ")
 
 
 def test_validate_logic_input_leaves_dataclasses_unloaded(demo_csv, tmp_path):
@@ -1098,7 +1163,7 @@ def test_no_submodule_imports_dataclasses():
         "from pbzlogic import *\n"
         "sys.stderr.write(f'{len(names)} {\"dataclasses\" in sys.modules}')\n"
     )
-    assert done.stderr == "16 False"
+    assert done.stderr == "18 False"
 
 
 def test_term_evaluation_leaves_the_axiom_engine_unloaded():

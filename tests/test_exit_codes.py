@@ -14,7 +14,8 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pbzlogic.cli import main, parse_exact
+from pbzlogic.cli import main
+from pbzlogic.options import parse_exact
 
 VALUES = st.sampled_from(["p", "q", "", " p ", 'x"y', "p\nq", "a,b", "p\r\nq"])
 TOKENS = st.sampled_from(["yes", "no", "?", "1", "0", "TRUE", ""])

@@ -1,4 +1,4 @@
-"""The exact parser against argparse, both read off `cli.COMMANDS`.
+"""The exact parser against argparse, both read off `options.COMMANDS`.
 
 `parse_exact` takes only a subcommand and `--option value` pairs; on
 every other command line it returns None and `main` hands the line to
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pbzlogic.cli import COMMANDS, build_parser, main, parse_exact
+from pbzlogic.cli import main
+from pbzlogic.options import COMMANDS, build_parser, parse_exact
 
 FLAGS = sorted({option.flag for command in COMMANDS.values() for option in command.options})
 # empty values, negative numbers, choice misses, non-ints and ints that

@@ -17,7 +17,7 @@ from pbzlogic.axioms import certified, check_blocks
 from pbzlogic.cli import TableConfig, build_classification_report, load_table, render_json
 from pbzlogic.jsontext import dumps
 from pbzlogic.report import render_classification_text
-from pbzlogic.table import Partition
+from pbzlogic.partition import Partition
 
 # Ids and labels the encoder has to escape; "\x00" is left out because
 # csv.reader rejects it before Python 3.11.
